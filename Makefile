@@ -8,13 +8,13 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs the suite under the race detector; the parallel pipeline's
-# determinism test (jobs=1 vs jobs=8) runs here with full checking.
+# race runs the suite under the race detector: concurrent runs of one
+# shared compilation, the serve soaks and the cluster chaos tests.
 race:
 	$(GO) test -race ./...
 
-# bench records the full E1-E7 + CompileParallel suite to
-# BENCH_<date>.json in the repo root.
+# bench records the full E1-E8 and engine/tiering/analysis/incremental/
+# cluster suite to BENCH_<date>.json in the repo root.
 bench:
 	$(GO) run ./cmd/bench
 
@@ -22,8 +22,8 @@ bench:
 bench-short:
 	$(GO) run ./cmd/bench -short
 
-# bench-check additionally fails if parallel compilation regresses
-# against the sequential path (core-count-aware floor).
+# bench-check additionally enforces the -check gates (engine, tiering,
+# heap reduction, analysis overhead, incremental, cluster, baseline).
 bench-check:
 	$(GO) run ./cmd/bench -short -check
 

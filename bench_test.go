@@ -13,9 +13,7 @@
 package repro
 
 import (
-	"fmt"
 	"io"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -186,44 +184,6 @@ func BenchmarkE7_CompileSpeed(b *testing.B) {
 			linesPerSec := lines * float64(b.N) / b.Elapsed().Seconds()
 			b.ReportMetric(linesPerSec, "lines/sec")
 			b.ReportMetric(lines, "lines")
-		})
-	}
-}
-
-// ----------------------------------------------- parallel compilation
-
-// parallelJobCounts is the ladder of worker counts exercised by
-// BenchmarkCompileParallel: sequential reference, 2, 4, and the
-// machine's GOMAXPROCS (deduplicated when the machine is small).
-func parallelJobCounts() []int {
-	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	var out []int
-	for _, j := range counts {
-		if !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// BenchmarkCompileParallel measures full-pipeline compile throughput
-// at increasing worker counts on the largest E7 generated program.
-// jobs=1 is the sequential reference path; the jobs=N results are the
-// tentpole speedup claim, and cmd/bench records the ratio.
-func BenchmarkCompileParallel(b *testing.B) {
-	src := progen.Generate(progen.Scale(16))
-	for _, j := range parallelJobCounts() {
-		cfg := core.Compiled()
-		cfg.Jobs = j
-		b.Run(fmt.Sprintf("jobs=%d", j), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Compile("gen.v", src, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -1,20 +1,17 @@
-// Command bench runs the repository's experiment benchmarks (E1-E7
-// plus the parallel-compile ladder) through testing.Benchmark and
-// records the results as a JSON snapshot, so perf numbers land in the
-// repo with the machine context needed to interpret them.
+// Command bench runs the repository's experiment benchmarks (E1-E8
+// and the engine, tiering, analysis, incremental and cluster series)
+// through testing.Benchmark and records the results as a JSON
+// snapshot, so perf numbers land in the repo with the machine context
+// needed to interpret them.
 //
 // Usage:
 //
 //	go run ./cmd/bench                 # full run, writes BENCH_<date>.json
 //	go run ./cmd/bench -short          # small workloads, for CI
-//	go run ./cmd/bench -short -check   # also gate on parallel-compile regression
+//	go run ./cmd/bench -short -check   # also enforce the -check gates
 //	go run ./cmd/bench -out FILE.json  # explicit output path
 //
-// The -check gate is core-count aware: the parallel pipeline cannot
-// speed anything up on a single-core machine, so the required
-// jobs=4-vs-jobs=1 ratio scales with runtime.NumCPU. What it always
-// catches is a parallel path that got SLOWER than the sequential one.
-// -check also enforces the bytecode engine's E5 speedup floor over the
+// -check enforces the bytecode engine's E5 speedup floor over the
 // switch interpreter (the Engine_* series), the incremental-compile
 // floor (CompileIncremental/edit1 must beat a from-scratch compile by
 // 5x on the largest generated program), and compares the execution
@@ -52,12 +49,11 @@ import (
 )
 
 type result struct {
-	Name           string  `json:"name"`
-	Iterations     int     `json:"iterations"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	AllocsPerOp    int64   `json:"allocs_per_op"`
-	BytesPerOp     int64   `json:"bytes_per_op"`
-	SpeedupVsJobs1 float64 `json:"speedup_vs_jobs1,omitempty"`
+	Name        string  `json:"name"`
+	Iterations  int     `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
 	// EngineSpeedup is set on Engine_*/bytecode rows: the matching
 	// switch-interpreter time divided by the bytecode time.
 	EngineSpeedup float64 `json:"engine_speedup,omitempty"`
@@ -345,11 +341,6 @@ func table(short bool) []bench {
 	add("Analysis_Compile/with", compileSrc(src, comp))
 	add("Analysis_Compile/without", compileSrc(src, noa))
 	add("E7_CompileSpeed/largest", compileSrc(src, comp))
-	for _, j := range jobCounts() {
-		cfg := comp
-		cfg.Jobs = j
-		add(fmt.Sprintf("CompileParallel/jobs=%d", j), compileSrc(src, cfg))
-	}
 	// Incremental series on its own corpus: the largest generated
 	// program extended with straight-line call chains, which weight the
 	// workload toward backend optimization the way a real optimizing
@@ -709,37 +700,9 @@ func concCounts() []int {
 	return out
 }
 
-// jobCounts is the worker ladder: 1, 2, 4, GOMAXPROCS, deduplicated
-// and ordered.
-func jobCounts() []int {
-	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	var out []int
-	for _, j := range counts {
-		if !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// requiredSpeedup is the jobs=4 (or max-jobs) vs jobs=1 floor enforced
-// by -check, scaled to the machine: parallel speedup needs cores.
-func requiredSpeedup() float64 {
-	switch {
-	case runtime.NumCPU() >= 4:
-		return 1.0
-	case runtime.NumCPU() >= 2:
-		return 0.95
-	default:
-		return 0.85 // single core: only catch gross scheduling overhead
-	}
-}
-
 func main() {
 	short := flag.Bool("short", false, "shrink workloads for a quick CI run")
-	check := flag.Bool("check", false, "exit nonzero if parallel compile regresses vs jobs=1")
+	check := flag.Bool("check", false, "exit nonzero if any -check gate fails")
 	out := flag.String("out", "", "output path (default BENCH_<date>.json)")
 	benchtime := flag.String("benchtime", "", "per-benchmark measuring time (default 1s, 200ms with -short)")
 	testing.Init()
@@ -785,10 +748,6 @@ func main() {
 			BytesPerOp:  r.AllocedBytesPerOp(),
 		}
 		nsByName[entry.name] = res.NsPerOp
-		if base, ok := nsByName["CompileParallel/jobs=1"]; ok && res.NsPerOp > 0 &&
-			entry.name != "CompileParallel/jobs=1" && strings.HasPrefix(entry.name, "CompileParallel/") {
-			res.SpeedupVsJobs1 = base / res.NsPerOp
-		}
 		if tail, ok := strings.CutSuffix(entry.name, "/bytecode"); ok && res.NsPerOp > 0 {
 			if sw, ok := nsByName[tail+"/switch"]; ok {
 				res.EngineSpeedup = sw / res.NsPerOp
@@ -852,30 +811,6 @@ func main() {
 	fmt.Println("wrote", path)
 
 	if *check {
-		gate := pickGate(nsByName)
-		base := nsByName["CompileParallel/jobs=1"]
-		if gate == "" || base == 0 {
-			fmt.Fprintln(os.Stderr, "bench: -check: missing CompileParallel results")
-			os.Exit(1)
-		}
-		speedup := base / nsByName[gate]
-		need := requiredSpeedup()
-		for try := 0; try < 2 && speedup < need; try++ {
-			// A single-sample ratio on a shared runner is noisy; confirm
-			// an apparent regression on fresh measurements before failing.
-			fmt.Printf("check: %s speedup %.2fx below %.2fx floor; re-measuring\n", gate, speedup, need)
-			if b1, bg := remeasure(fnByName["CompileParallel/jobs=1"]), remeasure(fnByName[gate]); b1 > 0 && bg > 0 {
-				base = minf(base, b1)
-				nsByName[gate] = minf(nsByName[gate], bg)
-				speedup = base / nsByName[gate]
-			}
-		}
-		fmt.Printf("check: %s speedup vs jobs=1 = %.2fx (need >= %.2fx on %d CPUs)\n",
-			gate, speedup, need, runtime.NumCPU())
-		if speedup < need {
-			fmt.Fprintf(os.Stderr, "bench: FAIL: parallel compile regressed below the %.2fx floor\n", need)
-			os.Exit(1)
-		}
 		if !checkEngine(nsByName, fnByName) || !checkTiered(nsByName, fnByName) || !checkHeapReduction(heapRows) ||
 			!checkAnalysisOverhead(nsByName, fnByName) || !checkIncremental(nsByName, fnByName) ||
 			!checkCluster(rep.Cluster, *short) || !checkBaseline(baseline, rep, fnByName) {
@@ -1039,8 +974,8 @@ func checkBaseline(base *report, cur report, fns map[string]func(*testing.B)) bo
 			// Compile-bound rows drift across days independently of the
 			// execution rows (allocator/GC pressure vs tight CPU loops),
 			// so cross-snapshot comparison is not sound for them. Their
-			// cost is gated within a single run instead: the parallel
-			// floor and the Analysis_Compile with/without ceiling.
+			// cost is gated within a single run instead: the
+			// Analysis_Compile with/without ceiling.
 			continue
 		}
 		rows = append(rows, cmpRow{r.Name, old, r.NsPerOp})
@@ -1165,20 +1100,4 @@ func minf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// pickGate selects the jobs=4 point when present, else the largest
-// measured worker count.
-func pickGate(ns map[string]float64) string {
-	if _, ok := ns["CompileParallel/jobs=4"]; ok {
-		return "CompileParallel/jobs=4"
-	}
-	best, bestJ := "", 0
-	for name := range ns {
-		var j int
-		if n, _ := fmt.Sscanf(name, "CompileParallel/jobs=%d", &j); n == 1 && j > bestJ && j > 1 {
-			best, bestJ = name, j
-		}
-	}
-	return best
 }

@@ -6,10 +6,10 @@
 //	virgil check [-config ...] [-verify-ir] file.v...
 //	virgil dump [-config ...] [-verify-ir] file.v...
 //	virgil lint [-lint-strict] file.v...
-//	virgil analyze [-jobs n] file.v...
+//	virgil analyze file.v...
 //	virgil profile [-profile-out file] [-profile-in file] file.v...
 //	virgil stats file.v...
-//	virgil serve [-addr host:port] [-engine bytecode|switch] [-max-concurrent n] [-queue n] [-default-timeout d] [-max-timeout d] [-drain-timeout d] [-tier-after n] [-jobs n] [-max-request-bytes n] [-peers url,...] [-self url] [-peer-timeout d] [-peer-attempts n] [-hedge-after d]
+//	virgil serve [-addr host:port] [-engine bytecode|switch] [-max-concurrent n] [-queue n] [-default-timeout d] [-max-timeout d] [-drain-timeout d] [-tier-after n] [-max-request-bytes n] [-peers url,...] [-self url] [-peer-timeout d] [-peer-attempts n] [-hedge-after d]
 //
 // run executes the program; check compiles under the selected config
 // without executing; dump prints the IR after the selected pipeline
@@ -20,8 +20,8 @@
 // pure call unused, provably infinite loops, allocations inside loops)
 // — exiting 2 when findings exist, or 1 under -lint-strict; analyze
 // emits the whole-program static analysis (call graph, escape
-// verdicts, per-function effects, interval summary) as JSON, byte
-// identical at every -jobs value; stats prints monomorphization,
+// verdicts, per-function effects, interval summary) as stable JSON;
+// stats prints monomorphization,
 // normalization and optimization statistics; serve runs the compiler
 // as an HTTP JSON service (endpoints /compile, /run, /healthz,
 // /stats) until SIGINT/SIGTERM — with -peers it joins a static fleet
@@ -43,8 +43,8 @@
 // program; exceeding it raises the deterministic !HeapExhausted trap.
 //
 // profile runs the program with output discarded and prints the
-// recorded execution profile as stable JSON (byte-identical at every
-// -jobs setting); run -profile-out=file does the same while keeping
+// recorded execution profile as stable JSON; run -profile-out=file
+// does the same while keeping
 // the program's output. -profile-in feeds a recorded profile back into
 // the compile for profile-guided optimization: speculative
 // devirtualization of observed-monomorphic call sites (guarded, never
@@ -115,7 +115,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	maxDepth := fs.Int("max-depth", 0, "call-depth limit for execution (0 = default)")
 	maxHeap := fs.Int64("max-heap", 0, "modeled heap budget in bytes for execution (0 = default, 1 GiB)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for execution (0 = none)")
-	jobs := fs.Int("jobs", 0, "worker count for per-function pipeline stages (0 = GOMAXPROCS, 1 = sequential)")
 	maxErrors := fs.Int("max-errors", 0, "cap on reported diagnostics (0 = default cap)")
 	analyze := fs.Bool("analyze", true, "run the whole-program analysis passes under -config full (devirtualization, pure-call elimination, stack promotion)")
 	lintStrict := fs.Bool("lint-strict", false, "treat lint findings as compile errors (exit 1 instead of 2)")
@@ -140,7 +139,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	cfg.MaxDepth = *maxDepth
 	cfg.MaxHeap = *maxHeap
 	cfg.Timeout = *timeout
-	cfg.Jobs = *jobs
 	cfg.MaxErrors = *maxErrors
 	if !*analyze {
 		cfg.Analyze = false
@@ -229,7 +227,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprint(stdout, comp.Module.String())
 	case "lint":
-		return lintCmd(stdout, stderr, srcs, *jobs, *lintStrict)
+		return lintCmd(stdout, stderr, srcs, *lintStrict)
 	case "analyze":
 		if !cfg.Optimize || !cfg.Analyze {
 			fmt.Fprintln(stderr, "virgil: analyze requires -config full with -analyze enabled")
@@ -260,17 +258,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 // optimizer would delete the very defects these rules report.
 // Findings exist: exit code 2, or 1 under -lint-strict (findings
 // promoted to errors).
-func lintCmd(stdout, stderr io.Writer, srcs []core.File, jobs int, strict bool) int {
+func lintCmd(stdout, stderr io.Writer, srcs []core.File, strict bool) int {
 	prog, err := core.CheckFiles(srcs)
 	if err != nil {
 		return report(stderr, err)
 	}
 	findings := lint.Run(prog)
-	comp, err := core.CompileFiles(srcs, core.Config{Monomorphize: true, Jobs: jobs})
+	comp, err := core.CompileFiles(srcs, core.Config{Monomorphize: true})
 	if err != nil {
 		return report(stderr, err)
 	}
-	res, err := analysis.Analyze(context.Background(), comp.Module, analysis.Config{Jobs: jobs})
+	res, err := analysis.Analyze(context.Background(), comp.Module, analysis.Config{})
 	if err != nil {
 		return report(stderr, err)
 	}
@@ -290,7 +288,7 @@ func lintCmd(stdout, stderr io.Writer, srcs []core.File, jobs int, strict bool) 
 
 // writeProfile encodes a recorded execution profile as stable JSON to
 // path ("-" = stdout). The encoding is byte-identical for a given
-// program and inputs at every -jobs setting.
+// program and inputs.
 func writeProfile(p *profile.Profile, path string, stdout, stderr io.Writer) int {
 	if p == nil {
 		fmt.Fprintln(stderr, "virgil: no profile was recorded (profiles require the bytecode engine)")
@@ -395,8 +393,8 @@ func printStats(stdout, stderr io.Writer, srcs []core.File) int {
 }
 
 func usage(stderr io.Writer) {
-	fmt.Fprintln(stderr, `usage: virgil <command> [-config ref|mono|norm|full] [-engine bytecode|switch] [-analyze=bool] [-verify-ir] [-jobs n] [-max-errors n] [-max-steps n] [-max-depth n] [-max-heap n] [-timeout d] [-profile-out file] [-profile-in file] file.v...
-       virgil serve [-addr host:port] [-engine bytecode|switch] [-max-concurrent n] [-queue n] [-default-timeout d] [-max-timeout d] [-drain-timeout d] [-tier-after n] [-jobs n] [-max-request-bytes n] [-peers url,...] [-self url] [-peer-timeout d] [-peer-attempts n] [-hedge-after d]
+	fmt.Fprintln(stderr, `usage: virgil <command> [-config ref|mono|norm|full] [-engine bytecode|switch] [-analyze=bool] [-verify-ir] [-max-errors n] [-max-steps n] [-max-depth n] [-max-heap n] [-timeout d] [-profile-out file] [-profile-in file] file.v...
+       virgil serve [-addr host:port] [-engine bytecode|switch] [-max-concurrent n] [-queue n] [-default-timeout d] [-max-timeout d] [-drain-timeout d] [-tier-after n] [-max-request-bytes n] [-peers url,...] [-self url] [-peer-timeout d] [-peer-attempts n] [-hedge-after d]
 
 commands:
   run      compile and execute the program (-profile-out records an execution profile, -profile-in optimizes with one)

@@ -32,7 +32,6 @@ func serveCmd(argv []string, stdout, stderr io.Writer) int {
 	defaultTimeout := fs.Duration("default-timeout", 0, "per-request deadline when the client sets none (0 = 10s)")
 	maxTimeout := fs.Duration("max-timeout", 0, "ceiling on client-requested deadlines (0 = 60s)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
-	jobs := fs.Int("jobs", 0, "worker count per compilation (0 = 1; the service parallelizes across requests)")
 	engine := fs.String("engine", "", "execution engine for /run: bytecode (default) or switch")
 	cacheSize := fs.Int("cache-size", 0, "warm-compilation cache entries (0 = 64, negative disables)")
 	maxHeap := fs.Int64("max-heap", 0, "modeled heap budget in bytes per /run (0 = 64 MiB)")
@@ -60,7 +59,6 @@ func serveCmd(argv []string, stdout, stderr io.Writer) int {
 		QueueDepth:          *queue,
 		DefaultTimeout:      *defaultTimeout,
 		MaxTimeout:          *maxTimeout,
-		Jobs:                *jobs,
 		Engine:              *engine,
 		CacheSize:           *cacheSize,
 		MaxHeapBytes:        *maxHeap,

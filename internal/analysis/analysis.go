@@ -4,15 +4,11 @@ import (
 	"context"
 
 	"repro/internal/ir"
-	"repro/internal/par"
 )
 
 // Config controls how Analyze runs. The zero value is valid.
 type Config struct {
-	// Jobs bounds the per-function fan-out (CFG construction and
-	// interval propagation); <= 1 runs inline. Whole-program phases
-	// (call graph, escape and effect fixpoints) are sequential barriers
-	// either way, so results are identical at every worker count.
+	// Deprecated: ignored; the pipeline is sequential. Kept only so perfbench builds.
 	Jobs int
 }
 
@@ -67,20 +63,14 @@ func Analyze(ctx context.Context, mod *ir.Module, cfg Config) (*Result, error) {
 		Funcs: make([]*FuncFacts, len(mod.Funcs)),
 		byFn:  make(map[*ir.Func]*FuncFacts, len(mod.Funcs)),
 	}
-	// Per-function, embarrassingly parallel work: workers write only
-	// into their own index slot (the par.Run determinism contract).
-	err := par.Run(ctx, "analysis", cfg.Jobs, len(mod.Funcs), func(i int) error {
-		f := mod.Funcs[i]
+	for i, f := range mod.Funcs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		facts := &FuncFacts{Fn: f, CFG: BuildCFG(f)}
 		facts.Intervals = computeIntervals(f, facts.CFG)
 		res.Funcs[i] = facts
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, f := range mod.Funcs {
-		res.byFn[f] = res.Funcs[i]
+		res.byFn[f] = facts
 	}
 	// Whole-program phases; each is deterministic given the module.
 	res.CallGraph = buildCallGraph(mod)

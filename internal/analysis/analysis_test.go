@@ -320,45 +320,3 @@ def main() {
 	}
 	escaping.StackAlloc = false
 }
-
-// TestAnalyzeJobsDeterminism: the whole report must be byte-identical
-// at any worker count — the analyze subcommand's contract.
-func TestAnalyzeJobsDeterminism(t *testing.T) {
-	mod := compile(t, `
-class Shape { def area() -> int { return 0; } }
-class Sq extends Shape {
-	var s: int;
-	new(s) { }
-	def area() -> int { return s * s; }
-}
-def sum(shapes: Array<Shape>) -> int {
-	var t = 0;
-	for (i = 0; i < shapes.length; i++) t = t + shapes[i].area();
-	return t;
-}
-def main() {
-	var xs = Array<Shape>.new(3);
-	for (i = 0; i < xs.length; i++) xs[i] = Sq.new(i + 1);
-	System.puti(sum(xs));
-}
-`, true)
-	res1, err := Analyze(context.Background(), mod, Config{Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res8, err := Analyze(context.Background(), mod, Config{Jobs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	js1, err := ReportJSON(res1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js8, err := ReportJSON(res8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(js1) != string(js8) {
-		t.Error("analysis report differs between jobs=1 and jobs=8")
-	}
-}

@@ -11,7 +11,7 @@
 // pure-call elimination), internal/lint (IR-level advisory rules), and
 // the `virgil analyze` JSON report. All of them require the same
 // guarantee the rest of the pipeline already has: results are
-// byte-for-byte identical at every worker count.
+// byte-for-byte identical for identical inputs.
 package analysis
 
 import "repro/internal/ir"

@@ -37,9 +37,7 @@ func TestGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := core.Compiled()
-			cfg.Jobs = 1
-			comp, err := core.Compile(filepath.Base(file), string(source), cfg)
+			comp, err := core.Compile(filepath.Base(file), string(source), core.Compiled())
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -63,42 +61,6 @@ func TestGoldenReports(t *testing.T) {
 			}
 			if string(got) != string(want) {
 				t.Errorf("report differs from golden %s\n--- got ---\n%s", goldenPath, got)
-			}
-		})
-	}
-}
-
-// TestGoldenJobsDeterminism: the same programs must produce
-// byte-identical reports at jobs=1 and jobs=8 through the full driver —
-// the CLI-level contract behind `virgil analyze`.
-func TestGoldenJobsDeterminism(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("testdata", "*.v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(files)
-	for _, file := range files {
-		name := strings.TrimSuffix(filepath.Base(file), ".v")
-		t.Run(name, func(t *testing.T) {
-			source, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			report := func(jobs int) string {
-				cfg := core.Compiled()
-				cfg.Jobs = jobs
-				comp, err := core.Compile(filepath.Base(file), string(source), cfg)
-				if err != nil {
-					t.Fatalf("compile jobs=%d: %v", jobs, err)
-				}
-				js, err := analysis.ReportJSON(comp.Analysis)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return string(js)
-			}
-			if report(1) != report(8) {
-				t.Error("analysis report differs between jobs=1 and jobs=8")
 			}
 		})
 	}

@@ -10,8 +10,8 @@ import (
 // The analyze report: a stable JSON rendering of the whole-program
 // facts for tooling. Everything is emitted in module order (functions,
 // classes, instruction order within a function), never map order, so
-// the bytes are identical for identical inputs at any worker count —
-// the same determinism contract the compiled output has.
+// the bytes are identical for identical inputs — the same determinism
+// contract the compiled output has.
 
 type reportFunc struct {
 	Name         string         `json:"name"`

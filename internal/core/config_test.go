@@ -18,11 +18,13 @@ func TestConfigValidate(t *testing.T) {
 		{name: "reference", cfg: Reference()},
 		{name: "compiled", cfg: Compiled()},
 		{name: "mono only", cfg: Config{Monomorphize: true}},
+		// Jobs is deprecated and ignored: any value, even a negative one,
+		// is accepted.
 		{name: "default jobs", cfg: Config{Jobs: 0}},
 		{name: "explicit jobs", cfg: Config{Jobs: 8}},
 		{name: "norm without mono", cfg: Config{Normalize: true}, wantErr: "Normalize requires Monomorphize"},
 		{name: "opt without norm", cfg: Config{Monomorphize: true, Optimize: true}, wantErr: "Optimize requires Normalize"},
-		{name: "negative jobs", cfg: Config{Jobs: -1}, wantErr: "Jobs must be >= 0"},
+		{name: "negative jobs", cfg: Config{Jobs: -1}},
 		{name: "default max errors", cfg: Config{MaxErrors: 0}},
 		{name: "explicit max errors", cfg: Config{MaxErrors: 5}},
 		{name: "negative max errors", cfg: Config{MaxErrors: -1}, wantErr: "MaxErrors must be >= 0"},
@@ -52,20 +54,10 @@ func TestConfigValidate(t *testing.T) {
 func TestCompileRejectsInvalidConfig(t *testing.T) {
 	for _, cfg := range []Config{
 		{Normalize: true},
-		{Jobs: -4},
+		{MaxSteps: -4},
 	} {
 		if _, err := Compile("t.v", "def main() -> int { return 0; }", cfg); err == nil {
 			t.Fatalf("Compile with invalid config %+v: want error, got nil", cfg)
 		}
-	}
-}
-
-// TestConfigJobsResolution pins the Jobs defaulting rule.
-func TestConfigJobsResolution(t *testing.T) {
-	if got := (Config{Jobs: 3}).jobs(); got != 3 {
-		t.Fatalf("jobs() = %d, want 3", got)
-	}
-	if got := (Config{}).jobs(); got < 1 {
-		t.Fatalf("jobs() = %d, want >= 1 (GOMAXPROCS)", got)
 	}
 }

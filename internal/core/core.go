@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -68,13 +67,7 @@ type Config struct {
 	// accounting, and Stats — differing only in speed.
 	Engine string
 
-	// Jobs bounds the worker pool for the per-function pipeline stages
-	// (lowering, specialized-body copying, normalization, optimization
-	// folding, IR verification). 0 means runtime.GOMAXPROCS(0); 1 runs
-	// the exact sequential pipeline; negative is a Validate error.
-	// Whole-program phases (typechecking, the monomorphization worklist,
-	// vtable layout) are sequential barriers regardless. The compiled
-	// module is byte-for-byte identical for every valid value.
+	// Deprecated: ignored; the pipeline is sequential. Kept only so perfbench builds.
 	Jobs int
 
 	// VerifyIR runs the typed IR verifier (ir.Verify) after every
@@ -168,9 +161,6 @@ func (c Config) Validate() error {
 	if c.Analyze && !c.Optimize {
 		return fmt.Errorf("core: Analyze requires Optimize")
 	}
-	if c.Jobs < 0 {
-		return fmt.Errorf("core: Jobs must be >= 0 (0 selects GOMAXPROCS), got %d", c.Jobs)
-	}
 	if c.MaxErrors < 0 {
 		return fmt.Errorf("core: MaxErrors must be >= 0 (0 selects the default cap %d), got %d", src.MaxReported, c.MaxErrors)
 	}
@@ -213,15 +203,6 @@ func (c Config) EngineKind() string {
 		return EngineBytecode
 	}
 	return c.Engine
-}
-
-// jobs resolves the configured worker count: 0 defaults to the
-// machine's GOMAXPROCS.
-func (c Config) jobs() int {
-	if c.Jobs == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Jobs
 }
 
 // maxErrors resolves the diagnostic cap: 0 defaults to src.MaxReported.
@@ -312,8 +293,8 @@ func stageStart(ctx context.Context, stage string) error {
 }
 
 // CompileFilesContext runs the pipeline on several files as one
-// program, stopping at the first stage boundary (or mid-fan-out item
-// claim) after ctx ends.
+// program, stopping at the first stage boundary (or before the next
+// function inside a per-function stage) after ctx ends.
 //
 // Diagnostics in the input are returned as a *src.ErrorList carrying
 // every independent error (capped at Config.MaxErrors with a "too many
@@ -389,7 +370,7 @@ func (p *pipeline) verify(stage string, mod *ir.Module) error {
 		if err := stageStart(p.ctx, "verify-"+stage); err != nil {
 			return err
 		}
-		return mod.VerifyConcurrent(p.ctx, p.cfg.jobs())
+		return mod.Verify()
 	})
 	if err == nil {
 		return nil
@@ -461,7 +442,7 @@ func (p *pipeline) frontend() (*ir.Module, error) {
 			return err
 		}
 		var err error
-		mod, err = lower.Lower(p.ctx, prog, p.cfg.jobs())
+		mod, err = lower.Lower(p.ctx, prog, 0)
 		return err
 	}); err != nil {
 		return nil, err
@@ -486,7 +467,7 @@ func (p *pipeline) backend(mod *ir.Module, opts backendOpts) (*Compilation, erro
 			if err := stageStart(ctx, "mono"); err != nil {
 				return err
 			}
-			monoMod, stats, err := mono.Monomorphize(ctx, mod, mono.Config{Jobs: cfg.jobs(), SkipBody: opts.monoSkip})
+			monoMod, stats, err := mono.Monomorphize(ctx, mod, mono.Config{SkipBody: opts.monoSkip})
 			if err != nil {
 				return err
 			}
@@ -509,7 +490,7 @@ func (p *pipeline) backend(mod *ir.Module, opts backendOpts) (*Compilation, erro
 			if err := stageStart(ctx, "norm"); err != nil {
 				return err
 			}
-			normMod, stats, err := norm.NormalizeSkip(ctx, mod, cfg.jobs(), opts.normSkip)
+			normMod, stats, err := norm.NormalizeSkip(ctx, mod, opts.normSkip)
 			if err != nil {
 				return err
 			}
@@ -536,7 +517,7 @@ func (p *pipeline) backend(mod *ir.Module, opts backendOpts) (*Compilation, erro
 			if err := stageStart(ctx, "opt"); err != nil {
 				return err
 			}
-			stats, err := opt.Optimize(ctx, mod, opt.Config{Jobs: cfg.jobs(), Analyze: cfg.Analyze, Profile: cfg.PGO, Record: opts.record})
+			stats, err := opt.Optimize(ctx, mod, opt.Config{Analyze: cfg.Analyze, Profile: cfg.PGO, Record: opts.record})
 			if err != nil {
 				return err
 			}
@@ -580,7 +561,7 @@ func (p *pipeline) finish(mod *ir.Module) (*Compilation, error) {
 			if err := stageStart(ctx, "analysis"); err != nil {
 				return err
 			}
-			res, err := analysis.Analyze(ctx, mod, analysis.Config{Jobs: cfg.jobs()})
+			res, err := analysis.Analyze(ctx, mod, analysis.Config{})
 			if err != nil {
 				return err
 			}

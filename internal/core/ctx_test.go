@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/interp"
+	"repro/internal/progen"
 	"repro/internal/src"
 	"repro/internal/testprogs"
 )
@@ -43,7 +44,10 @@ func TestCompileCancelledBeforeStart(t *testing.T) {
 // TestCompileCancelledMidPipeline arms a long ctx-aware delay at the
 // mono boundary of the largest corpus program, cancels shortly after
 // starting, and asserts the pipeline unwinds promptly — the
-// cancellation bound that internal/serve relies on to free slots.
+// cancellation bound that internal/serve relies on to free slots. It
+// then compiles a large generated program under a deadline that ends
+// midway through the compile, which the per-function ctx checks inside
+// the stages must honor.
 func TestCompileCancelledMidPipeline(t *testing.T) {
 	r, perr := faultinject.Parse("mono:delay:0:10000")
 	if perr != nil {
@@ -67,6 +71,18 @@ func TestCompileCancelledMidPipeline(t *testing.T) {
 		}
 	case <-time.After(100 * time.Millisecond):
 		t.Fatal("compilation did not unwind within 100ms of cancellation")
+	}
+
+	files := []File{{Name: "scale8.v", Source: progen.Generate(progen.Scale(8))}}
+	start := time.Now()
+	if _, err := CompileFilesContext(context.Background(), files, Compiled()); err != nil {
+		t.Fatalf("uncancelled compile: %v", err)
+	}
+	full := time.Since(start)
+	dctx, dcancel := context.WithTimeout(context.Background(), full/2)
+	defer dcancel()
+	if _, err := CompileFilesContext(dctx, files, Compiled()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("compile under a %v deadline (full compile %v): err = %v, want context.DeadlineExceeded", full/2, full, err)
 	}
 }
 
@@ -112,17 +128,16 @@ def main() {
 }
 
 // TestFaultMatrixEveryStage injects each fault kind at every pipeline
-// boundary (including the pool and the interpreter) and asserts the
+// boundary (including the interpreter) and asserts the
 // outcome is always structured: panics become stage-tagged ICEs, errors
 // surface wrapping ErrInjected, delays only slow the run — and a clean
 // compile of the same source still succeeds afterwards (no corrupted
 // shared state in types.Cache).
 func TestFaultMatrixEveryStage(t *testing.T) {
-	stages := []string{"parse", "check", "lower", "mono", "norm", "opt", "validate", "interp", "par",
+	stages := []string{"parse", "check", "lower", "mono", "norm", "opt", "validate", "interp",
 		"verify-lower", "verify-mono", "verify-norm", "verify-opt"}
 	cfg := Compiled()
 	cfg.VerifyIR = true
-	cfg.Jobs = 4
 	for _, stage := range stages {
 		for _, kind := range []string{faultinject.KindPanic, faultinject.KindErr, faultinject.KindDelay} {
 			t.Run(stage+"/"+kind, func(t *testing.T) {

@@ -16,8 +16,7 @@ import (
 // engine and the switch interpreter are observably identical: same
 // output bytes, same traps with the same messages and stack traces,
 // same step accounting, same Stats — over the whole corpus, the
-// examples, the crasher corpus, every ablation configuration, and
-// sequential vs parallel compilation.
+// examples, the crasher corpus, and every ablation configuration.
 
 // diffConfigs is the ablation ladder for the differential suite: the
 // four pipeline configurations plus the optimized pipeline with the
@@ -124,24 +123,19 @@ func sameRun(t *testing.T, label string, bc, sw core.RunResult) {
 }
 
 // TestEngineDifferentialCorpus runs every corpus program under every
-// ablation configuration, at sequential and parallel compile jobs,
-// under both engines.
+// ablation configuration under both engines.
 func TestEngineDifferentialCorpus(t *testing.T) {
 	for _, p := range testprogs.All() {
 		t.Run(p.Name, func(t *testing.T) {
-			for _, base := range diffConfigs() {
-				for _, jobs := range []int{1, 8} {
-					cfg := base
-					cfg.Jobs = jobs
-					label := fmt.Sprintf("%s/jobs=%d", cfgLabel(cfg), jobs)
-					bc, sw, ok := runBothEngines(t, label, p.Name+".v", p.Source, cfg)
-					if !ok {
-						continue
-					}
-					sameRun(t, label, bc, sw)
-					if bc.Err == nil && bc.Output != p.Want {
-						t.Errorf("%s: output = %q, want %q", label, bc.Output, p.Want)
-					}
+			for _, cfg := range diffConfigs() {
+				label := cfgLabel(cfg)
+				bc, sw, ok := runBothEngines(t, label, p.Name+".v", p.Source, cfg)
+				if !ok {
+					continue
+				}
+				sameRun(t, label, bc, sw)
+				if bc.Err == nil && bc.Output != p.Want {
+					t.Errorf("%s: output = %q, want %q", label, bc.Output, p.Want)
 				}
 			}
 		})

@@ -7,7 +7,7 @@ import (
 // The store fingerprint is the config half of every artifact key: two
 // compiles may share artifacts only when the Config fields that shape
 // compiled output agree. Fields that only affect how the artifact is
-// *executed* (engine choice, worker count, runtime budgets) are
+// *executed* (engine choice, runtime budgets) are
 // deliberately excluded — the compiled module is byte-identical across
 // them, so a bytecode-engine compile warms the cache for a
 // switch-engine request and vice versa.
@@ -35,10 +35,10 @@ var storeKeyFields = map[string]bool{
 	"MaxErrors": true,
 
 	// Execution-only: the compiled module is byte-identical across
-	// these (Config.Jobs documents this; the determinism suite enforces
-	// it for Jobs, the cross-engine suite for Engine).
+	// engines (the cross-engine suite enforces it).
 	"Engine": false,
-	"Jobs":   false,
+	// Jobs is ignored by the compiler.
+	"Jobs": false,
 	// VerifyIR adds assertions between stages; it never rewrites IR.
 	"VerifyIR": false,
 	// Profile arms runtime profiling on the Compilation; compile output

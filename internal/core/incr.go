@@ -532,12 +532,10 @@ func incrTry(p *pipeline, lowered *ir.Module, base *incrBase, selfNew map[string
 	}
 
 	// decided records, per monomorphized instance name, whether the
-	// base's compiled body stands in. The decision is made inside the
-	// mono body fan-out — which alone knows the instance→source
-	// mapping (instance names are not mechanically parseable; source
-	// names may contain '<') — and read back by normalization and
-	// assembly after mono's completion barrier.
-	var decidedMu sync.Mutex
+	// base's compiled body stands in. The decision is made in the mono
+	// body-copy phase — which alone knows the instance→source mapping
+	// (instance names are not mechanically parseable; source names may
+	// contain '<') — and read back by normalization and assembly.
 	decided := map[string]bool{}
 	monoSkip := func(dstName, srcName string) bool {
 		d := base.funcs[dstName] != nil && !dirty[srcName]
@@ -546,9 +544,7 @@ func incrTry(p *pipeline, lowered *ir.Module, base *incrBase, selfNew map[string
 				d = false
 			}
 		}
-		decidedMu.Lock()
 		decided[dstName] = d
-		decidedMu.Unlock()
 		return d
 	}
 	reuse := func(name string) bool { return decided[name] }
@@ -625,7 +621,6 @@ func globalsMatch(normMod *ir.Module, base *incrBase) bool {
 // and the optimizer replays the base recording over the dirty subset.
 // Returns ok=false with a reason for any structural surprise.
 func assemble(p *pipeline, normMod *ir.Module, base *incrBase, reuse func(string) bool, st *IncrStats) (*Compilation, bool, string, error) {
-	cfg := p.cfg
 	x := newTypeXfer(base.module.Types, base.xferDefs.classDefs, base.xferDefs.enumDefs)
 	r := &relinker{x: x, funcs: map[string]*ir.Func{}, classes: map[string]*ir.Class{}, globals: base.globals}
 
@@ -744,7 +739,7 @@ func assemble(p *pipeline, normMod *ir.Module, base *incrBase, reuse func(string
 		if err := stageStart(p.ctx, "opt"); err != nil {
 			return err
 		}
-		stats, err := opt.OptimizeReplay(p.ctx, dirtyList, finalMod.Types, opt.Config{Jobs: cfg.jobs(), Record: rec}, base.rec)
+		stats, err := opt.OptimizeReplay(p.ctx, dirtyList, finalMod.Types, opt.Config{Record: rec}, base.rec)
 		if err != nil {
 			return err
 		}

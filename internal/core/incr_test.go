@@ -146,6 +146,14 @@ func compileIncr(t *testing.T, store *Store, source string, cfg Config) (*Compil
 	return comp, st
 }
 
+// compileOutcome flattens everything observable about a compilation
+// into comparable strings.
+type compileOutcome struct {
+	dump   string
+	runOut string
+	runErr string
+}
+
 func outcomeOf(t *testing.T, comp *Compilation) compileOutcome {
 	t.Helper()
 	o := compileOutcome{dump: comp.Module.String()}
@@ -158,75 +166,64 @@ func outcomeOf(t *testing.T, comp *Compilation) compileOutcome {
 }
 
 // TestIncrementalEditScripts drives the edit-script differential: for
-// every scripted edit, at jobs=1 and jobs=8, the incremental compile
-// of the edited source must be byte-identical (IR dump and run
-// behavior) to a from-scratch compile, and must recompile no more than
-// the edit's dirty closure.
+// every scripted edit, the incremental compile of the edited source
+// must be byte-identical (IR dump and run behavior) to a from-scratch
+// compile, and must recompile no more than the edit's dirty closure.
 func TestIncrementalEditScripts(t *testing.T) {
-	for _, jobs := range []int{1, 8} {
-		for _, e := range editScripts() {
-			e := e
-			t.Run(e.name+joblabel(jobs), func(t *testing.T) {
-				cfg := optConfig()
-				cfg.Jobs = jobs
-				store := NewStore(4)
-				baseComp, st := compileIncr(t, store, editProgBase, cfg)
-				if st.Mode != ModeCold {
-					t.Fatalf("first compile mode = %s, want cold", st.Mode)
-				}
-				if got := outcomeOf(t, baseComp); got.runErr != "" {
-					t.Fatalf("base program failed: %s", got.runErr)
-				}
+	for _, e := range editScripts() {
+		e := e
+		t.Run(e.name, func(t *testing.T) {
+			cfg := optConfig()
+			store := NewStore(4)
+			baseComp, st := compileIncr(t, store, editProgBase, cfg)
+			if st.Mode != ModeCold {
+				t.Fatalf("first compile mode = %s, want cold", st.Mode)
+			}
+			if got := outcomeOf(t, baseComp); got.runErr != "" {
+				t.Fatalf("base program failed: %s", got.runErr)
+			}
 
-				edited := applyEdit(t, editProgBase, e)
-				incComp, st := compileIncr(t, store, edited, cfg)
-				scratch, err := Compile("edit.v", edited, cfg)
-				if err != nil {
-					t.Fatalf("scratch compile: %v", err)
+			edited := applyEdit(t, editProgBase, e)
+			incComp, st := compileIncr(t, store, edited, cfg)
+			scratch, err := Compile("edit.v", edited, cfg)
+			if err != nil {
+				t.Fatalf("scratch compile: %v", err)
+			}
+			want, got := outcomeOf(t, scratch), outcomeOf(t, incComp)
+			if want.dump != got.dump {
+				t.Fatalf("mode %s: incremental dump differs from scratch", st.Mode)
+			}
+			if want.runOut != got.runOut || want.runErr != got.runErr {
+				t.Fatalf("run differs: scratch (%q, %q) vs incremental (%q, %q)",
+					want.runOut, want.runErr, got.runOut, got.runErr)
+			}
+			if e.wantFallback {
+				if st.Mode != ModeFallback {
+					t.Fatalf("mode = %s (reason %q), want fallback", st.Mode, st.Reason)
 				}
-				want, got := outcomeOf(t, scratch), outcomeOf(t, incComp)
-				if want.dump != got.dump {
-					t.Fatalf("mode %s: incremental dump differs from scratch", st.Mode)
+			} else {
+				if st.Mode != ModeIncremental {
+					t.Fatalf("mode = %s (reason %q), want incremental", st.Mode, st.Reason)
 				}
-				if want.runOut != got.runOut || want.runErr != got.runErr {
-					t.Fatalf("run differs: scratch (%q, %q) vs incremental (%q, %q)",
-						want.runOut, want.runErr, got.runOut, got.runErr)
+				if st.FuncsRecompiled > e.maxRecompiled {
+					t.Errorf("recompiled %d funcs, want <= %d (reused %d)",
+						st.FuncsRecompiled, e.maxRecompiled, st.FuncsReused)
 				}
-				if e.wantFallback {
-					if st.Mode != ModeFallback {
-						t.Fatalf("mode = %s (reason %q), want fallback", st.Mode, st.Reason)
-					}
-				} else {
-					if st.Mode != ModeIncremental {
-						t.Fatalf("mode = %s (reason %q), want incremental", st.Mode, st.Reason)
-					}
-					if st.FuncsRecompiled > e.maxRecompiled {
-						t.Errorf("recompiled %d funcs, want <= %d (reused %d)",
-							st.FuncsRecompiled, e.maxRecompiled, st.FuncsReused)
-					}
-					if st.FuncsReused == 0 {
-						t.Errorf("incremental compile reused nothing")
-					}
+				if st.FuncsReused == 0 {
+					t.Errorf("incremental compile reused nothing")
 				}
+			}
 
-				// Same source again: whole-module hit off the refreshed base.
-				hitComp, st := compileIncr(t, store, edited, cfg)
-				if st.Mode != ModeModuleHit {
-					t.Fatalf("repeat mode = %s, want module-hit", st.Mode)
-				}
-				if h := outcomeOf(t, hitComp); h.dump != want.dump || h.runOut != want.runOut {
-					t.Fatalf("module hit differs from scratch")
-				}
-			})
-		}
+			// Same source again: whole-module hit off the refreshed base.
+			hitComp, st := compileIncr(t, store, edited, cfg)
+			if st.Mode != ModeModuleHit {
+				t.Fatalf("repeat mode = %s, want module-hit", st.Mode)
+			}
+			if h := outcomeOf(t, hitComp); h.dump != want.dump || h.runOut != want.runOut {
+				t.Fatalf("module hit differs from scratch")
+			}
+		})
 	}
-}
-
-func joblabel(jobs int) string {
-	if jobs == 1 {
-		return "/jobs=1"
-	}
-	return "/jobs=8"
 }
 
 // TestIncrementalCorpus appends a fresh function to every successful

@@ -168,8 +168,8 @@ func (e *Engine) Stats() interp.Stats { return e.stats }
 // Profile snapshots the execution profile recorded so far, or nil when
 // the engine was created without Options.Profile. Keys follow the
 // program's deterministic translation numbering, so profiles recorded
-// by different processes (or at different -jobs settings) for the same
-// program are directly comparable and mergeable. Not safe to call
+// by different processes for the same program are directly
+// comparable and mergeable. Not safe to call
 // concurrently with a running engine — snapshot after the run, like
 // Stats.
 func (e *Engine) Profile() *profile.Profile {

@@ -217,7 +217,7 @@ type Program struct {
 
 	// Profile identity: deterministic dense numbering of functions,
 	// call sites, and branches, so runtime counters recorded against
-	// this program can be exported under stable jobs-independent keys.
+	// this program can be exported under stable keys.
 	numBranches int
 	siteMeta    []siteMeta
 	branchMeta  []brMeta

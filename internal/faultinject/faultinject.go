@@ -1,13 +1,12 @@
 // Package faultinject is a deterministic fault-injection registry for
 // robustness testing. Production code calls Point(ctx, name) at the
-// pipeline's stage boundaries (and inside the par worker pool); with no
-// faults armed the call is a single atomic load. Tests — and operators
+// pipeline's stage boundaries; with no faults armed the call is a
+// single atomic load. Tests — and operators
 // reproducing a field failure — arm faults with the VIRGIL_FAULT
 // environment variable or Set:
 //
 //	VIRGIL_FAULT=mono:panic:3        panic at the 4th mono boundary hit
 //	VIRGIL_FAULT=norm:delay:1        sleep 50ms at the 2nd norm hit
-//	VIRGIL_FAULT=par:err:0           error at the 1st pool item claim
 //	VIRGIL_FAULT=lower:delay:0:200   sleep 200ms at the 1st lower hit
 //	VIRGIL_FAULT=peer-dial:err:4+    error at every dial from the 5th on
 //
@@ -24,8 +23,8 @@
 //
 // Point names are defined by their call sites. The catalog today:
 // the pipeline stages "parse", "check", "lower", "mono", "norm",
-// "opt", "validate", their "verify-<stage>" variants, the worker-pool
-// item claim "par", and the execution boundary "interp". The bytecode
+// "opt", "validate", their "verify-<stage>" variants, and the
+// execution boundary "interp". The bytecode
 // path adds two engine-specific points the switch interpreter never
 // crosses: "translate" (before IR-to-bytecode translation) and
 // "engine" (after translation, before the first bytecode

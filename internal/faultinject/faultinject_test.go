@@ -94,7 +94,7 @@ func TestDelayIsContextAware(t *testing.T) {
 }
 
 func TestConcurrentHitsFireOnce(t *testing.T) {
-	r, err := Parse("par:err:25")
+	r, err := Parse("interp:err:25")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestConcurrentHitsFireOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if Point(context.Background(), "par") != nil {
+				if Point(context.Background(), "interp") != nil {
 					fired.Add(1)
 				}
 			}

@@ -1,10 +1,8 @@
 package ir
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -27,15 +25,10 @@ import (
 // parameters); the verifier is deliberately tolerant there — any rule
 // involving an open type is deferred to the post-mono verification,
 // where every type must be closed and checks are exact.
-func (m *Module) Verify() error { return m.VerifyConcurrent(context.Background(), 1) }
-
-// VerifyConcurrent is Verify with the per-function checks fanned out on
-// up to jobs workers (jobs <= 1 verifies sequentially). The verifier's
-// lookup structures are frozen before the fan-out and verifyFunc only
-// reads them, so the reported error is the same — the one for the
-// lowest-index function — for every jobs value. The module-membership
-// and vtable-shape checks are whole-program and stay sequential.
-func (m *Module) VerifyConcurrent(ctx context.Context, jobs int) error {
+//
+// Functions are checked in module order and the first failure is
+// reported, followed by the whole-program vtable-shape checks.
+func (m *Module) Verify() error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
@@ -46,14 +39,10 @@ func (m *Module) VerifyConcurrent(ctx context.Context, jobs int) error {
 	if m.Init != nil && !v.funcs[m.Init] {
 		return fmt.Errorf("init function %s is not in the module", m.Init.Name)
 	}
-	if err := par.Run(ctx, "verify", jobs, len(m.Funcs), func(i int) error {
-		f := m.Funcs[i]
+	for _, f := range m.Funcs {
 		if err := v.verifyFunc(f); err != nil {
 			return fmt.Errorf("func %s: %w", f.Name, err)
 		}
-		return nil
-	}); err != nil {
-		return err
 	}
 	return v.verifyShapes()
 }

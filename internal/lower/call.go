@@ -289,14 +289,10 @@ func opTokenFor(op string) token.Kind {
 
 // ------------------------------------------------------- wrapper funcs
 
-// wrapper caches synthesized functions by name. Bodies lower
-// concurrently, so the first worker to need a wrapper synthesizes it
-// under wmu; the module-level append happens after all bodies finish
-// (sorted by name, in lowerAll) so the function order does not depend
-// on which worker got here first.
+// wrapper caches synthesized functions by name. The first body to need
+// a wrapper synthesizes it; the module-level append happens after all
+// bodies finish (sorted by name, in lowerAll).
 func (lw *Lowerer) wrapper(name string, make func() *ir.Func) *ir.Func {
-	lw.wmu.Lock()
-	defer lw.wmu.Unlock()
 	if f, ok := lw.wrappers[name]; ok {
 		return f
 	}

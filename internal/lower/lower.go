@@ -11,11 +11,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/ir"
-	"repro/internal/par"
 	"repro/internal/src"
 	"repro/internal/token"
 	"repro/internal/typecheck"
@@ -35,21 +33,18 @@ type Lowerer struct {
 	globalOf map[*typecheck.GlobalSym]*ir.Global
 	// wrappers caches synthesized functions (operators, builtins,
 	// unbound methods, the generic $eq/$cast/$query/$Array.new) by name.
-	// Bodies are lowered concurrently, so access goes through wmu; the
-	// synthesized functions are appended to the module sorted by name
-	// after all bodies finish, keeping the function order identical for
-	// every job count.
-	wmu      sync.Mutex
+	// They are appended to the module sorted by name after all bodies
+	// finish, so the function order does not depend on which body first
+	// demanded each wrapper.
 	wrappers map[string]*ir.Func
 }
 
-// Lower converts prog into an IR module, lowering function bodies on up
-// to jobs workers (jobs <= 1 lowers sequentially). The resulting module
-// is byte-for-byte identical for every jobs value. A panic while
-// lowering one body surfaces as a *src.ICE error when jobs > 1 and
-// propagates as a panic when sequential — both are absorbed by the
-// caller's stage boundary in core. A done ctx stops the fan-out and
-// returns ctx.Err().
+// Lower converts prog into an IR module, lowering function bodies one
+// at a time in declaration order. A panic while lowering a body
+// propagates to the caller's stage boundary in core. A done ctx stops
+// lowering before the next body and returns ctx.Err().
+// The jobs parameter is ignored.
+// Deprecated: ignored; the pipeline is sequential. Kept only so perfbench builds.
 func Lower(ctx context.Context, prog *typecheck.Program, jobs int) (*ir.Module, error) {
 	lw := &Lowerer{
 		prog:     prog,
@@ -63,7 +58,7 @@ func Lower(ctx context.Context, prog *typecheck.Program, jobs int) (*ir.Module, 
 		wrappers: map[string]*ir.Func{},
 	}
 	lw.declareAll()
-	if err := lw.lowerAll(ctx, jobs); err != nil {
+	if err := lw.lowerAll(ctx); err != nil {
 		return nil, err
 	}
 	return lw.mod, nil
@@ -189,13 +184,10 @@ func (lw *Lowerer) declareAll() {
 	}
 }
 
-// lowerAll fills in every function body. Bodies only read the shared
-// declaration maps (frozen by declareAll) and write their own function,
-// so they fan out on the worker pool; wrapper synthesis, the one shared
-// mutation, is serialized behind wmu. $init and the name-sorted wrapper
-// functions are appended after the fan-out, a deterministic order no
-// matter which worker first demanded each wrapper.
-func (lw *Lowerer) lowerAll(ctx context.Context, jobs int) error {
+// lowerAll fills in every function body, checking ctx before each one.
+// $init and the name-sorted wrapper functions are appended after the
+// bodies.
+func (lw *Lowerer) lowerAll(ctx context.Context) error {
 	var tasks []func()
 	for _, cls := range lw.prog.Classes {
 		cls := cls
@@ -210,11 +202,11 @@ func (lw *Lowerer) lowerAll(ctx context.Context, jobs int) error {
 		fn := fn
 		tasks = append(tasks, func() { lw.lowerMethodBody(nil, fn) })
 	}
-	if err := par.Run(ctx, "lower", jobs, len(tasks), func(i int) error {
-		tasks[i]()
-		return nil
-	}); err != nil {
-		return err
+	for _, task := range tasks {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		task()
 	}
 	lw.lowerInit()
 	names := make([]string, 0, len(lw.wrappers))

@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"repro/internal/ir"
-	"repro/internal/par"
 	"repro/internal/types"
 )
 
@@ -56,9 +55,7 @@ type Config struct {
 	// exceeding it indicates polymorphic recursion, which Virgil
 	// disallows (§4.3). 0 means the default of 10000.
 	MaxInstances int
-	// Jobs bounds the worker pool for the body-copy phase (<= 1 copies
-	// sequentially). The discovery fixpoint is inherently sequential and
-	// unaffected; the output module is identical for every value.
+	// Deprecated: ignored; the pipeline is sequential. Kept only so perfbench builds.
 	Jobs int
 	// SkipBody, when non-nil, suppresses the body copy of specialized
 	// functions it reports true for. It receives the output instance
@@ -68,8 +65,7 @@ type Config struct {
 	// fixpoint still runs in full — the instance set, vtable layouts,
 	// and function order are unaffected — but skipped functions come
 	// out with declarations only. Incremental compilation uses this to
-	// avoid copying bodies it will replace with cached artifacts. May
-	// be called concurrently.
+	// avoid copying bodies it will replace with cached artifacts.
 	SkipBody func(dstName, srcName string) bool
 }
 
@@ -118,7 +114,8 @@ type monomorphizer struct {
 // touches shared monomorphizer state — call targets, vtable slots,
 // class instances — and records the per-instruction resolutions here,
 // in traversal order; copyBody then rebuilds the body from the plan
-// with no shared mutable state, so plans fan out across workers.
+// without consulting the monomorphizer's maps, so a copy can be skipped
+// (Config.SkipBody) without disturbing any other function.
 type bodyPlan struct {
 	src, dst *ir.Func
 	env      map[*types.TypeParamDef]types.Type
@@ -183,13 +180,16 @@ func Monomorphize(ctx context.Context, mod *ir.Module, cfg Config) (*ir.Module, 
 	}
 	// Copy the planned bodies; every cross-function fact was resolved
 	// during the fixpoint, so the copies are independent.
-	if err := par.Run(ctx, "mono", cfg.Jobs, len(m.plans), func(i int) error {
-		if cfg.SkipBody != nil && cfg.SkipBody(m.plans[i].dst.Name, m.plans[i].src.Name) {
-			return nil
+	for _, p := range m.plans {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
 		}
-		return m.copyBody(m.plans[i])
-	}); err != nil {
-		return nil, nil, err
+		if cfg.SkipBody != nil && cfg.SkipBody(p.dst.Name, p.src.Name) {
+			continue
+		}
+		if err := m.copyBody(p); err != nil {
+			return nil, nil, err
+		}
 	}
 	stats := m.stats()
 	return m.out, stats, nil
@@ -418,9 +418,8 @@ func (m *monomorphizer) fillSlot(c *ir.Class, e vtEntry) {
 // specialized body needs from shared state: call targets become
 // instances (which enqueue their own plans), virtual dispatches get
 // specialized vtable slots, and referenced classes are materialized.
-// The traversal order is exactly the order the pre-parallel
-// specializer used, so the output module's function and class order is
-// unchanged. The resolutions are recorded on a bodyPlan for copyBody.
+// The traversal order fixes the output module's function and class
+// order. The resolutions are recorded on a bodyPlan for copyBody.
 func (m *monomorphizer) planBody(f, g *ir.Func, env map[*types.TypeParamDef]types.Type) error {
 	p := &bodyPlan{src: f, dst: g, env: env}
 	subst := func(t types.Type) types.Type {
@@ -463,8 +462,7 @@ func (m *monomorphizer) planBody(f, g *ir.Func, env map[*types.TypeParamDef]type
 
 // copyBody copies the planned body from p.src into p.dst, substituting
 // types and installing the resolutions planBody recorded. It touches
-// only p.dst and the (concurrency-safe) type cache, so plans run on
-// parallel workers.
+// only p.dst and the type cache.
 func (m *monomorphizer) copyBody(p *bodyPlan) error {
 	f, g, env := p.src, p.dst, p.env
 	fi, si := 0, 0

@@ -19,10 +19,8 @@ package norm
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/ir"
-	"repro/internal/par"
 	"repro/internal/src"
 	"repro/internal/types"
 )
@@ -49,19 +47,17 @@ type normalizer struct {
 	stats    Stats
 
 	// flat memoizes scalar expansions. Types are interned, so the
-	// pointer is the key; bodies normalize concurrently, hence the
-	// read-mostly lock. Callers must not mutate returned slices.
-	flatMu sync.RWMutex
-	flat   map[types.Type][]types.Type
+	// pointer is the key. Callers must not mutate returned slices.
+	flat map[types.Type][]types.Type
 }
 
 // Normalize flattens all tuples in a monomorphic module, returning a
-// new module. Function bodies are rewritten on up to jobs workers
-// (jobs <= 1 is sequential); the declaration phases and vtable layout
-// are whole-program barriers and always run sequentially. The output
-// is identical for every jobs value.
+// new module. The declaration phases and vtable layout run first, then
+// function bodies are rewritten one at a time in module order.
+// The jobs parameter is ignored.
+// Deprecated: ignored; the pipeline is sequential. Kept only so perfbench builds.
 func Normalize(ctx context.Context, mod *ir.Module, jobs int) (*ir.Module, *Stats, error) {
-	return NormalizeSkip(ctx, mod, jobs, nil)
+	return NormalizeSkip(ctx, mod, nil)
 }
 
 // NormalizeSkip is Normalize with a body filter: functions skip reports
@@ -69,7 +65,7 @@ func Normalize(ctx context.Context, mod *ir.Module, jobs int) (*ir.Module, *Stat
 // vtable entries, order — but get no body. The declaration phases run
 // in full either way. Incremental compilation uses this to skip bodies
 // it replaces with cached artifacts.
-func NormalizeSkip(ctx context.Context, mod *ir.Module, jobs int, skip func(name string) bool) (*ir.Module, *Stats, error) {
+func NormalizeSkip(ctx context.Context, mod *ir.Module, skip func(name string) bool) (*ir.Module, *Stats, error) {
 	if !mod.Monomorphic {
 		return nil, nil, fmt.Errorf("norm: module must be monomorphized first (§4.2)")
 	}
@@ -95,21 +91,16 @@ func NormalizeSkip(ctx context.Context, mod *ir.Module, jobs int, skip func(name
 	n.declareClasses()
 	n.declareFuncs()
 	n.fillVtables()
-	// Bodies read only the frozen declaration maps and write their own
-	// destination function; per-body statistics merge in function order.
-	tuples := make([]int, len(mod.Funcs))
-	if err := par.Run(ctx, "norm", jobs, len(mod.Funcs), func(i int) error {
-		if skip != nil && skip(mod.Funcs[i].Name) {
-			return nil
+	for _, f := range mod.Funcs {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
 		}
-		c, err := n.normalizeBody(mod.Funcs[i])
-		tuples[i] = c
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
-	for _, c := range tuples {
-		n.stats.TuplesEliminated += c
+		if skip != nil && skip(f.Name) {
+			continue
+		}
+		if err := n.normalizeBody(f); err != nil {
+			return nil, nil, err
+		}
 	}
 	if mod.Init != nil {
 		n.out.Init = n.funcMap[mod.Init]
@@ -122,16 +113,11 @@ func NormalizeSkip(ctx context.Context, mod *ir.Module, jobs int, skip func(name
 
 // flatten returns the scalar expansion of t, memoized per module.
 func (n *normalizer) flatten(t types.Type) []types.Type {
-	n.flatMu.RLock()
 	fs, ok := n.flat[t]
-	n.flatMu.RUnlock()
-	if ok {
-		return fs
+	if !ok {
+		fs = types.Flatten(n.tc, t, nil)
+		n.flat[t] = fs
 	}
-	fs = types.Flatten(n.tc, t, nil)
-	n.flatMu.Lock()
-	n.flat[t] = fs
-	n.flatMu.Unlock()
 	return fs
 }
 
@@ -248,12 +234,9 @@ type bodyNormalizer struct {
 	// pos is the source position of the instruction being normalized;
 	// emit stamps it so flattened code keeps source-level traces.
 	pos src.Pos
-	// tuples counts MakeTuple eliminations in this body alone; bodies
-	// run concurrently, so the totals merge after the fan-out.
-	tuples int
 }
 
-func (n *normalizer) normalizeBody(f *ir.Func) (int, error) {
+func (n *normalizer) normalizeBody(f *ir.Func) error {
 	nf := n.funcMap[f]
 	b := &bodyNormalizer{n: n, f: f, nf: nf, regMap: map[*ir.Reg][]*ir.Reg{}, blkMap: map[*ir.Block]*ir.Block{}}
 	// Parameter registers map to the already-created flattened params.
@@ -270,11 +253,11 @@ func (n *normalizer) normalizeBody(f *ir.Func) (int, error) {
 		b.cur = b.blkMap[blk]
 		for _, in := range blk.Instrs {
 			if err := b.instr(in); err != nil {
-				return b.tuples, fmt.Errorf("%s: %w", f.Name, err)
+				return fmt.Errorf("%s: %w", f.Name, err)
 			}
 		}
 	}
-	return b.tuples, nil
+	return nil
 }
 
 // regs returns the flattened registers for a source register, creating
@@ -383,7 +366,7 @@ func (b *bodyNormalizer) instr(in *ir.Instr) error {
 
 	case ir.OpMakeTuple:
 		// (§4.2 q1'): the tuple's registers are its elements' registers.
-		b.tuples++
+		b.n.stats.TuplesEliminated++
 		return b.moveAll(b.regs(in.Dst[0]), b.flatArgs(in.Args))
 	case ir.OpTupleGet:
 		src := b.regs(in.Args[0])

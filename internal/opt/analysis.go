@@ -227,5 +227,5 @@ func (o *optimizer) promoteAllocations(res *analysis.Result) {
 
 // runAnalysis is the optimizer's entry to the analysis stack.
 func (o *optimizer) runAnalysis(ctx context.Context) (*analysis.Result, error) {
-	return analysis.Analyze(ctx, o.mod, analysis.Config{Jobs: o.cfg.Jobs})
+	return analysis.Analyze(ctx, o.mod, analysis.Config{})
 }

@@ -17,7 +17,6 @@ import (
 	"maps"
 
 	"repro/internal/ir"
-	"repro/internal/par"
 	"repro/internal/profile"
 	"repro/internal/types"
 )
@@ -49,10 +48,7 @@ type Config struct {
 	InlineLimit int
 	// Rounds bounds the fold/inline fixpoint; 0 means the default of 4.
 	Rounds int
-	// Jobs bounds the worker pool for the per-function folding passes
-	// (<= 1 folds sequentially). Devirtualization and inlining read
-	// whole-program state and always run sequentially; the optimized
-	// module and statistics are identical for every value.
+	// Deprecated: ignored; the pipeline is sequential. Kept only so perfbench builds.
 	Jobs int
 	// Analyze enables the analysis-driven passes: call-graph
 	// devirtualization (including indirect calls through closures),
@@ -104,10 +100,8 @@ type Recording struct {
 // Optimize runs all passes over the module in place.
 //
 // Each round folds every function — a pass that reads and writes only
-// that function, so the folds fan out on the worker pool with
-// per-worker statistics merged in function order — and then inlines
-// sequentially, since inlining reads callee bodies across the module.
-// The loop between fold and inline is a barrier in both modes.
+// that function — and then inlines every function from snapshots of
+// the round's folded callee bodies.
 func Optimize(ctx context.Context, mod *ir.Module, cfg Config) (*Stats, error) {
 	if cfg.InlineLimit == 0 {
 		cfg.InlineLimit = 16
@@ -232,10 +226,10 @@ func OptimizeReplay(ctx context.Context, dirty []*ir.Func, tc *types.Cache, cfg 
 // base this is the whole-module optimization; with a non-nil base it
 // is an incremental replay where funcs is the dirty subset and base
 // supplies the remaining (clean) functions' snapshots and change bits.
-// Each round folds every function in parallel, snapshots the inline
-// candidates, inlines every function in parallel from the frozen
-// snapshots, and stops when neither the live functions nor the base's
-// recorded round changed anything.
+// Each round folds every function, snapshots the inline candidates,
+// inlines every function from the frozen snapshots, and stops when
+// neither the live functions nor the base's recorded round changed
+// anything. ctx is checked before each function.
 func (o *optimizer) rounds(ctx context.Context, funcs []*ir.Func, base *Recording) error {
 	cfg := o.cfg
 	live := make(map[string]bool, len(funcs))
@@ -244,20 +238,16 @@ func (o *optimizer) rounds(ctx context.Context, funcs []*ir.Func, base *Recordin
 	}
 	folded := make([]bool, len(funcs))
 	inlined := make([]bool, len(funcs))
-	workStats := make([]Stats, len(funcs))
 	for r := 0; r < cfg.Rounds; r++ {
-		if err := par.Run(ctx, "opt", cfg.Jobs, len(funcs), func(i int) error {
-			w := &optimizer{mod: o.mod, tc: o.tc, cfg: cfg, st: &workStats[i]}
-			folded[i] = w.foldFunc(funcs[i])
-			return nil
-		}); err != nil {
-			// foldFunc is error-free, so any error here is a recovered
-			// worker panic (an ICE) or the ctx ending mid-fan-out.
-			return err
+		for i, f := range funcs {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			folded[i] = o.foldFunc(f)
 		}
 		// Freeze this round's inline candidates. Inlining below reads
-		// only these snapshots, so the parallel fan-out and any replay
-		// see identical callee bodies regardless of processing order.
+		// only these snapshots, so every function and any replay see
+		// identical callee bodies regardless of processing order.
 		snaps := map[string]*Snapshot{}
 		for _, f := range funcs {
 			if s := snapshotOf(f, cfg.InlineLimit); s != nil {
@@ -273,22 +263,13 @@ func (o *optimizer) rounds(ctx context.Context, funcs []*ir.Func, base *Recordin
 			}
 			return nil
 		}
-		if err := par.Run(ctx, "opt", cfg.Jobs, len(funcs), func(i int) error {
-			w := &optimizer{mod: o.mod, tc: o.tc, cfg: cfg, st: &workStats[i]}
-			inlined[i] = w.inlineCalls(funcs[i], lookup)
-			return nil
-		}); err != nil {
-			return err
-		}
 		changed := false
-		for i := range funcs {
+		for i, f := range funcs {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			inlined[i] = o.inlineCalls(f, lookup)
 			changed = changed || folded[i] || inlined[i]
-			o.st.QueriesFolded += workStats[i].QueriesFolded
-			o.st.CastsElided += workStats[i].CastsElided
-			o.st.BranchesFolded += workStats[i].BranchesFolded
-			o.st.InstrsRemoved += workStats[i].InstrsRemoved
-			o.st.Inlined += workStats[i].Inlined
-			workStats[i] = Stats{}
 		}
 		baseChanged := false
 		if base != nil && r < len(base.Rounds) {

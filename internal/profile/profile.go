@@ -85,7 +85,7 @@ type Branch struct {
 // name in the parent Profile. Sites and Branches are keyed by the
 // dense per-function ordinals the engine assigns in translation order
 // (stringified, because JSON objects key by string); ordinals are
-// stable across processes and -jobs settings.
+// stable across processes.
 type Func struct {
 	// Calls counts invocations of the function.
 	Calls int64 `json:"calls"`
@@ -241,8 +241,7 @@ func (p *Profile) TotalCalls() int64 {
 
 // Encode writes the profile as stable, human-diffable JSON: object
 // keys sort (encoding/json sorts map keys), so two profiles with the
-// same counters are byte-identical regardless of collection order or
-// -jobs setting.
+// same counters are byte-identical regardless of collection order.
 func (p *Profile) Encode(w io.Writer) error {
 	data, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {

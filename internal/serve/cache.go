@@ -11,8 +11,7 @@ import (
 )
 
 // compCache is the warm-compilation cache: an LRU over successful
-// *core.Compilation values keyed by (config, engine, jobs, sources,
-// tier). A Compilation is immutable after a successful compile — its
+// *core.Compilation values keyed by (config, engine, sources, tier). A Compilation is immutable after a successful compile — its
 // module, type cache, and once-translated bytecode program are all
 // shared, read-only state — so one cached entry can serve concurrent
 // requests; each request still gets a fresh evaluator (with its own
@@ -89,7 +88,7 @@ func newCompCache(capacity int) *compCache {
 
 // newArtifactStore sizes the content-addressed artifact store from the
 // server's cache capacity. The store is keyed by config fingerprint
-// (engine/jobs-independent), so it needs far fewer slots than the warm
+// (engine-independent), so it needs far fewer slots than the warm
 // cache; a small floor keeps function-granular reuse alive even for
 // tiny caches. A non-positive capacity disables caching entirely, and
 // core.CompileFilesIncremental degrades to plain compilation on a nil
@@ -131,7 +130,6 @@ func cacheKey(cfg core.Config, files []FileJSON, tier int) [sha256.Size]byte {
 	}
 	writeStr(cfg.Name())
 	writeStr(cfg.Engine)
-	writeInt(int64(cfg.Jobs))
 	// A compilation with analysis-driven passes (and its cached
 	// analysis facts) is a different artifact from one without.
 	if cfg.Analyze {

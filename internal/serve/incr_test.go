@@ -92,6 +92,7 @@ func TestCacheKeyCoversConfig(t *testing.T) {
 		"MaxSteps": "run-time step budget, applied per request at RunToContext",
 		"MaxDepth": "run-time call-depth budget, applied at execution",
 		"Timeout":  "run-time deadline, applied per request",
+		"Jobs":     "deprecated and ignored by the compiler",
 	}
 
 	base := core.Config{}

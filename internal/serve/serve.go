@@ -7,8 +7,9 @@
 // per-request deadline clamped to Config.MaxTimeout, and (3) the
 // server's shutdown signal; core.CompileFilesContext and the
 // interpreter's step loop observe it at every stage boundary and
-// fan-out item claim, so an abandoned request frees its admission slot
-// in milliseconds instead of paying for the whole compile.
+// before each function inside a stage, so an abandoned request frees
+// its admission slot in milliseconds instead of paying for the whole
+// compile.
 //
 // Admission control is a bounded semaphore (Config.MaxConcurrent
 // slots) with a small wait queue (Config.QueueDepth); a request that
@@ -56,6 +57,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -82,16 +84,12 @@ type Config struct {
 	MaxTimeout time.Duration
 	// MaxBodyBytes bounds one request body. Default: 4 MiB.
 	MaxBodyBytes int64
-	// Jobs is the per-request worker count handed to the pipeline.
-	// Default: 1 — requests are the unit of parallelism in a loaded
-	// service; raise it only for large single-tenant compiles.
-	Jobs int
 	// Engine selects the execution engine for /run: "bytecode" (the
 	// default) or "switch". The two are observably identical; switch
 	// exists as the reference semantics.
 	Engine string
 	// CacheSize bounds the warm-compilation LRU: repeated requests for
-	// the same (config, engine, jobs, sources) reuse the compiled
+	// the same (config, engine, sources) reuse the compiled
 	// module and its translated bytecode, paying only execution.
 	// Default: 64 entries. Negative disables caching.
 	CacheSize int
@@ -137,9 +135,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
 	}
-	if c.Jobs <= 0 {
-		c.Jobs = 1
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 64
 	}
@@ -163,6 +158,7 @@ type Server struct {
 	sem       chan struct{}
 	baseCtx   context.Context
 	cancel    context.CancelFunc
+	httpMu    sync.Mutex // orders ServeWith against a concurrent Shutdown
 	http      *http.Server
 	start     time.Time
 	cache     *compCache
@@ -234,8 +230,17 @@ func (s *Server) Serve(l net.Listener) error {
 // this server's mux with peer routing): Shutdown still drains the
 // listener and in-flight requests exactly as for Serve.
 func (s *Server) ServeWith(l net.Listener, h http.Handler) error {
-	s.http = &http.Server{Handler: h}
-	return s.http.Serve(l)
+	hs := &http.Server{Handler: h}
+	s.httpMu.Lock()
+	if s.draining.Load() {
+		// Shutdown already ran and found nothing to drain.
+		s.httpMu.Unlock()
+		l.Close()
+		return http.ErrServerClosed
+	}
+	s.http = hs
+	s.httpMu.Unlock()
+	return hs.Serve(l)
 }
 
 // Shutdown drains the service: new work is rejected with 503 and
@@ -244,14 +249,17 @@ func (s *Server) ServeWith(l net.Listener, h http.Handler) error {
 // cancelled through the server's base context — the step every handler
 // observes. Safe to call without Serve (in-process handlers).
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.httpMu.Lock()
 	s.draining.Store(true)
+	hs := s.http
+	s.httpMu.Unlock()
 	var err error
-	if s.http != nil {
-		err = s.http.Shutdown(ctx)
+	if hs != nil {
+		err = hs.Shutdown(ctx)
 		if err != nil {
 			// Drain deadline hit: cancel the stragglers and close.
 			s.cancel()
-			closeErr := s.http.Close()
+			closeErr := hs.Close()
 			if closeErr != nil && err == nil {
 				err = closeErr
 			}
@@ -551,7 +559,6 @@ func (s *Server) handleWork(w http.ResponseWriter, r *http.Request, execute bool
 		writeJSON(w, http.StatusBadRequest, Response{Error: &ErrorInfo{Kind: "error", Msg: "max_errors, max_steps, max_heap, and timeout_ms must be >= 0"}})
 		return
 	}
-	cfg.Jobs = s.cfg.Jobs
 	cfg.MaxErrors = req.MaxErrors
 	// MaxSteps stays out of the Config so the compilation is cacheable;
 	// it is applied per request at RunToContext below.

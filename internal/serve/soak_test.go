@@ -36,7 +36,7 @@ func TestSoak(t *testing.T) {
 		"mono:delay:5:5",
 		"check:err:7",
 		"opt:panic:3",
-		"par:err:11",
+		"parse:err:11",
 		"interp:delay:9:5",
 	}, ","))
 	if err != nil {

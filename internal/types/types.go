@@ -164,10 +164,13 @@ func (e *Enum) String() string { return e.Def.Name }
 
 // Cache interns types so structural equality is pointer equality.
 //
-// All exported methods are safe for concurrent use: the parallel
-// pipeline stages (lower bodies, mono body copies, normalization,
-// optimization, verification) share one cache, so every method that
-// reads or writes the interning tables takes mu and delegates to an
+// All exported methods are safe for concurrent use. The compiler
+// pipeline is sequential, but the engines intern types at run time
+// (dynamic types of values, closure types, substituted field types of
+// generic classes), and one compiled Compilation — and so one cache —
+// is run by many goroutines at once: serve executes a warm cached
+// artifact for concurrent requests. Every method that reads or writes
+// the interning tables therefore takes mu and delegates to an
 // unexported, lock-free twin. The unexported twins may call each other
 // but never an exported method — the lock is not reentrant.
 type Cache struct {
