@@ -28,15 +28,14 @@ type FuncFacts struct {
 	// ParamEscapes[i] reports whether parameter i may escape the
 	// function (including by being returned).
 	ParamEscapes []bool
-	// EscapingRegs is the full may-escape register set.
-	EscapingRegs map[*ir.Reg]bool
+	// EscapingRegs is the full may-escape register set, indexed by
+	// Reg.ID (length Fn.NumRegs()).
+	EscapingRegs []bool
 	// AllocSites lists every heap-charged allocation in instruction
 	// order with its verdict; NonEscaping is the subset that stays
 	// frame-local.
 	AllocSites  []AllocSite
 	NonEscaping []*ir.Instr
-	// Intervals maps integer registers to their value ranges.
-	Intervals map[*ir.Reg]Interval
 }
 
 // Result is the whole-program analysis output.
@@ -54,7 +53,9 @@ type Result struct {
 func (r *Result) FactsFor(fn *ir.Func) *FuncFacts { return r.byFn[fn] }
 
 // Analyze runs the whole analysis stack over mod: per-function CFGs,
-// the call graph, then the escape, effect, and interval fixpoints.
+// the call graph, then the escape and effect fixpoints. Interval facts
+// feed only the analyze report, which computes them itself
+// (ReportJSON).
 // It never mutates mod, so stale results can coexist with further
 // transformation — consumers re-run Analyze after changing the IR.
 func Analyze(ctx context.Context, mod *ir.Module, cfg Config) (*Result, error) {
@@ -68,7 +69,6 @@ func Analyze(ctx context.Context, mod *ir.Module, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		facts := &FuncFacts{Fn: f, CFG: BuildCFG(f)}
-		facts.Intervals = computeIntervals(f, facts.CFG)
 		res.Funcs[i] = facts
 		res.byFn[f] = facts
 	}

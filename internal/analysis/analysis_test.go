@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/ast"
@@ -254,13 +255,32 @@ def main() {
 `, true)
 	res := analyze(t, mod)
 	facts := res.FactsFor(funcByName(t, mod, "main"))
-	sum := SummarizeIntervals(facts.Intervals)
+	sum := SummarizeIntervals(computeIntervals(facts.Fn, facts.CFG))
 	if sum.Consts == 0 {
 		t.Errorf("expected constant intervals in main, got %+v", sum)
 	}
 	if sum.Total == 0 {
 		t.Error("no intervals computed at all")
 	}
+	// Intervals reach users only through the analyze report, which
+	// computes them itself; it must carry the same rollup.
+	out, err := ReportJSON(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep report
+	if err := json.Unmarshal(out, &rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, rf := range rep.Functions {
+		if rf.Name == "main" {
+			if got := IntervalSummary(rf.Intervals); got != sum {
+				t.Errorf("report intervals for main = %+v, want %+v", got, sum)
+			}
+			return
+		}
+	}
+	t.Error("report has no entry for main")
 }
 
 func TestIntervalJoinWiden(t *testing.T) {

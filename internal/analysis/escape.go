@@ -45,24 +45,27 @@ func computeEscapes(res *Result) {
 	// Global fixpoint: recompute every function against the current
 	// summaries until no summary changes. Functions are visited in
 	// module order, so the iteration — and therefore every derived
-	// artifact — is deterministic.
+	// artifact — is deterministic. The last sweep changed no summary,
+	// so every set it computed already holds against the fixed
+	// summaries; those sets are the final facts.
+	escs := make([][]bool, len(res.Mod.Funcs))
 	for changed := true; changed; {
 		changed = false
-		for _, f := range res.Mod.Funcs {
+		for i, f := range res.Mod.Funcs {
 			esc := es.escapingRegs(f)
+			escs[i] = esc
 			sum := es.summaries[f]
-			for i, p := range f.Params {
-				if esc[p] && !sum[i] {
-					sum[i] = true
+			for k, p := range f.Params {
+				if esc[p.ID] && !sum[k] {
+					sum[k] = true
 					changed = true
 				}
 			}
 		}
 	}
-	// Final pass: record per-function facts against the fixed summaries.
 	for i, f := range res.Mod.Funcs {
 		facts := res.Funcs[i]
-		esc := es.escapingRegs(f)
+		esc := escs[i]
 		facts.EscapingRegs = esc
 		facts.ParamEscapes = es.summaries[f]
 		for _, blk := range f.Blocks {
@@ -72,7 +75,7 @@ func computeEscapes(res *Result) {
 				}
 				escapes := false
 				for _, d := range in.Dst {
-					if esc[d] {
+					if esc[d.ID] {
 						escapes = true
 					}
 				}
@@ -89,13 +92,14 @@ func computeEscapes(res *Result) {
 // escape the frame, under the current callee summaries. The local
 // rules are iterated to a fixpoint because escape propagates backward
 // through value-transparent instructions (moves, casts, aggregates).
-func (es *escapeState) escapingRegs(f *ir.Func) map[*ir.Reg]bool {
-	esc := map[*ir.Reg]bool{}
+// The set is indexed by Reg.ID.
+func (es *escapeState) escapingRegs(f *ir.Func) []bool {
+	esc := make([]bool, f.NumRegs())
 	mark := func(r *ir.Reg) bool {
-		if r == nil || esc[r] {
+		if r == nil || esc[r.ID] {
 			return false
 		}
-		esc[r] = true
+		esc[r.ID] = true
 		return true
 	}
 	cgNode := es.res.CallGraph.NodeFor(f)
@@ -125,12 +129,12 @@ func (es *escapeState) escapingRegs(f *ir.Func) map[*ir.Reg]bool {
 						changed = true
 					}
 				case ir.OpMove, ir.OpTypeCast:
-					if len(in.Dst) > 0 && esc[in.Dst[0]] && mark(in.Args[0]) {
+					if len(in.Dst) > 0 && esc[in.Dst[0].ID] && mark(in.Args[0]) {
 						changed = true
 					}
 				case ir.OpMakeTuple:
 					// A tuple escaping carries its elements with it.
-					if len(in.Dst) > 0 && esc[in.Dst[0]] {
+					if len(in.Dst) > 0 && esc[in.Dst[0].ID] {
 						for _, a := range in.Args {
 							if mark(a) {
 								changed = true

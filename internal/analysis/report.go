@@ -80,6 +80,9 @@ func kindName(k ir.FuncKind) string {
 }
 
 // ReportJSON renders res as indented JSON with a trailing newline.
+// Interval facts are computed here, from each function's CFG, because
+// the report is their only reader; res must therefore describe the
+// module in its current shape.
 func ReportJSON(res *Result) ([]byte, error) {
 	rep := report{Functions: make([]reportFunc, 0, len(res.Mod.Funcs))}
 	for i, f := range res.Mod.Funcs {
@@ -96,7 +99,7 @@ func ReportJSON(res *Result) ([]byte, error) {
 			Pure:         facts.Effects.Pure(),
 			ParamEscapes: facts.ParamEscapes,
 			Allocs:       []reportAlloc{},
-			Intervals:    reportInterval(SummarizeIntervals(facts.Intervals)),
+			Intervals:    reportInterval(SummarizeIntervals(computeIntervals(f, facts.CFG))),
 			Callees:      []string{},
 			Unresolved:   node.Unresolved,
 		}

@@ -31,7 +31,7 @@ func VerifyPromotions(mod *ir.Module, res *Result) error {
 						f.Name, in.Op, in.Pos)
 				}
 				for _, d := range in.Dst {
-					if facts.EscapingRegs[d] {
+					if facts.EscapingRegs[d.ID] {
 						return fmt.Errorf("func %s: %s at %s marked stack-alloc but result %s escapes",
 							f.Name, in.Op, in.Pos, d)
 					}

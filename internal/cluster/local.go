@@ -155,8 +155,15 @@ func (n *Node) Stop(ctx context.Context) error {
 	return err
 }
 
-// Stop drains every live node in the fleet.
+// Stop drains every live node in the fleet. It first closes every
+// node's idle forwarding connections: a spare connection a router
+// dialed but never sent a request on is still new to its peer, and
+// http.Server.Shutdown waits up to five seconds for new connections
+// before it treats them as idle.
 func (f *Fleet) Stop(ctx context.Context) error {
+	for _, n := range f.Nodes {
+		n.Router().client.CloseIdleConnections()
+	}
 	var first error
 	for _, n := range f.Nodes {
 		if err := n.Stop(ctx); err != nil && first == nil {

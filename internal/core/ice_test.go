@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/ir"
 	"repro/internal/src"
+	"repro/internal/types"
 )
 
 // TestGuardConvertsPanic: the stage boundary converts an arbitrary
@@ -45,5 +49,58 @@ func TestGuardRecoversRuntimePanics(t *testing.T) {
 	ice, ok := err.(*src.ICE)
 	if !ok || !strings.Contains(ice.Msg, "index out of range") {
 		t.Fatalf("want index ICE, got %T: %v", err, err)
+	}
+}
+
+// foreignRegModule builds a one-function module whose only register was
+// made by hand with an ID past the function's NumRegs, the shape a pass
+// that forgot NewReg would leave behind.
+func foreignRegModule() *ir.Module {
+	tc := types.NewCache()
+	f := &ir.Func{Name: "f", Results: []types.Type{tc.Int()}, VtSlot: -1}
+	b := f.NewBlock()
+	stray := &ir.Reg{ID: f.NumRegs() + 3, Type: tc.Int()}
+	b.Instrs = []*ir.Instr{
+		{Op: ir.OpConstInt, Dst: []*ir.Reg{stray}, IVal: 7},
+		{Op: ir.OpRet, Args: []*ir.Reg{stray}},
+	}
+	return &ir.Module{Types: tc, Funcs: []*ir.Func{f}, Monomorphic: true, Normalized: true}
+}
+
+// TestForeignRegisterIsStageICE: the optimizer and the analyses index
+// per-function tables by Reg.ID, so a register outside [0, NumRegs())
+// panics on the index. The stage guard must turn that panic into an
+// ICE tagged with the stage, never let it escape the process.
+func TestForeignRegisterIsStageICE(t *testing.T) {
+	backend := func(p *pipeline, mod *ir.Module) error {
+		_, err := p.backend(mod, backendOpts{})
+		return err
+	}
+	finish := func(p *pipeline, mod *ir.Module) error {
+		_, err := p.finish(mod)
+		return err
+	}
+	for _, tc := range []struct {
+		name, stage string
+		analyze     bool
+		run         func(p *pipeline, mod *ir.Module) error
+	}{
+		{"fold", "opt", false, backend},
+		{"opt-analysis", "opt", true, backend},
+		{"final-analysis", "analysis", true, finish},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Optimize: true, Analyze: tc.analyze}
+			p := &pipeline{ctx: context.Background(), cfg: cfg, comp: &Compilation{Config: cfg},
+				errs: &src.ErrorList{}, start: time.Now()}
+			err := tc.run(p, foreignRegModule())
+			ice, ok := err.(*src.ICE)
+			if !ok {
+				t.Fatalf("want *src.ICE, got %T: %v", err, err)
+			}
+			if ice.Stage != tc.stage || !strings.Contains(ice.Msg, "index out of range") {
+				t.Errorf("ICE = stage %q msg %q, want stage %q and an index panic", ice.Stage, ice.Msg, tc.stage)
+			}
+		})
 	}
 }

@@ -149,6 +149,13 @@ func (o Op) IsTerminator() bool {
 
 // Reg is a virtual register with a static type.
 type Reg struct {
+	// ID is dense per function: every register of f has a distinct ID
+	// in [0, f.NumRegs()), so per-function tables (the optimizer's,
+	// the analyses', the bytecode translator's) are slices indexed by
+	// ID rather than maps. Registers therefore come only from f.NewReg,
+	// or from the incremental relinker, which rebuilds them with their
+	// original IDs and then calls f.SetRegCount. Verify rejects an ID
+	// out of range or shared by two registers.
 	ID   int
 	Type types.Type
 	Name string // optional source name, for dumps
@@ -248,7 +255,10 @@ func (f *Func) NewReg(t types.Type, name string) *Reg {
 	return r
 }
 
-// NumRegs returns the number of virtual registers allocated in f.
+// NumRegs returns the number of virtual registers allocated in f: the
+// exclusive bound of its dense register IDs, and so the length of any
+// table indexed by Reg.ID. Registers come only from NewReg, or from the
+// relinker after SetRegCount.
 func (f *Func) NumRegs() int { return f.nextReg }
 
 // SetRegCount seeds the fresh-register counter. The incremental

@@ -173,6 +173,19 @@ func TestVerifyRejectsForeignRegister(t *testing.T) {
 	wantVerifyError(t, m, "share id")
 }
 
+// TestVerifyRejectsRegisterOutOfRange: a register whose ID is not below
+// its function's NumRegs (built by hand, not by NewReg) breaks the
+// density that Reg.ID-indexed tables rely on.
+func TestVerifyRejectsRegisterOutOfRange(t *testing.T) {
+	tc := types.NewCache()
+	f := newFunc("f", tc.Int())
+	b := f.NewBlock()
+	stray := &ir.Reg{ID: f.NumRegs(), Type: tc.Int()}
+	emit(b, &ir.Instr{Op: ir.OpConstInt, Dst: []*ir.Reg{stray}, IVal: 1})
+	emit(b, &ir.Instr{Op: ir.OpRet, Args: []*ir.Reg{stray}})
+	wantVerifyError(t, &ir.Module{Types: tc, Funcs: []*ir.Func{f}}, "out of range")
+}
+
 func TestVerifyRejectsBranchOnNonBool(t *testing.T) {
 	tc := types.NewCache()
 	f := newFunc("f", tc.Void())

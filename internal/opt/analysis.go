@@ -91,24 +91,26 @@ func (o *optimizer) elimPureCalls(res *analysis.Result) bool {
 	for _, f := range o.mod.Funcs {
 		// used / defCount over the whole function: a register IR is not
 		// SSA, so CSE and dead-call checks must see every definition.
-		used := map[*ir.Reg]bool{}
-		defCount := map[*ir.Reg]int{}
-		defInstr := map[*ir.Reg]*ir.Instr{}
+		// The tables are indexed by Reg.ID.
+		n := f.NumRegs()
+		used := make([]bool, n)
+		defCount := make([]int, n)
+		defInstr := make([]*ir.Instr, n)
 		for _, p := range f.Params {
-			defCount[p]++
+			defCount[p.ID]++
 		}
 		for _, blk := range f.Blocks {
 			for _, in := range blk.Instrs {
 				for _, a := range in.Args {
-					used[a] = true
+					used[a.ID] = true
 				}
 				for _, d := range in.Dst {
-					defCount[d]++
-					defInstr[d] = in
+					defCount[d.ID]++
+					defInstr[d.ID] = in
 				}
 			}
 		}
-		singleDef := func(r *ir.Reg) bool { return defCount[r] == 1 }
+		singleDef := func(r *ir.Reg) bool { return defCount[r.ID] == 1 }
 		for _, blk := range f.Blocks {
 			seen := map[string]*ir.Instr{}
 			var out []*ir.Instr
@@ -126,7 +128,7 @@ func (o *optimizer) elimPureCalls(res *analysis.Result) bool {
 				if facts.Effects.Pure() {
 					dead := true
 					for _, d := range in.Dst {
-						if used[d] {
+						if used[d.ID] {
 							dead = false
 							break
 						}
@@ -172,9 +174,9 @@ func (o *optimizer) elimPureCalls(res *analysis.Result) bool {
 	return changed
 }
 
-func prevDstsSingle(in *ir.Instr, defCount map[*ir.Reg]int) bool {
+func prevDstsSingle(in *ir.Instr, defCount []int) bool {
 	for _, d := range in.Dst {
-		if defCount[d] != 1 {
+		if defCount[d.ID] != 1 {
 			return false
 		}
 	}
@@ -185,12 +187,12 @@ func prevDstsSingle(in *ir.Instr, defCount map[*ir.Reg]int) bool {
 // Single-definition registers holding a scalar constant key by their
 // value — two materializations of the same literal are interchangeable
 // even though they are distinct registers — everything else keys by
-// register identity.
-func cseKey(in *ir.Instr, defCount map[*ir.Reg]int, defInstr map[*ir.Reg]*ir.Instr) string {
+// register identity. defCount and defInstr are indexed by Reg.ID.
+func cseKey(in *ir.Instr, defCount []int, defInstr []*ir.Instr) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%p", in.Fn)
 	for _, a := range in.Args {
-		if def := defInstr[a]; def != nil && defCount[a] == 1 {
+		if def := defInstr[a.ID]; def != nil && defCount[a.ID] == 1 {
 			switch def.Op {
 			case ir.OpConstInt, ir.OpConstByte, ir.OpConstBool, ir.OpConstEnum:
 				fmt.Fprintf(&b, ",%s:%d", def.Op, def.IVal)

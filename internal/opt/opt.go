@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/profile"
@@ -336,13 +337,9 @@ func snapshotOf(f *ir.Func, limit int) *Snapshot {
 	if body[len(body)-1].Op != ir.OpRet {
 		return nil
 	}
-	params := map[*ir.Reg]bool{}
-	for _, p := range f.Params {
-		params[p] = true
-	}
 	for _, in := range body {
 		for _, d := range in.Dst {
-			if params[d] {
+			if slices.Contains(f.Params, d) {
 				return nil
 			}
 		}
@@ -371,47 +368,56 @@ type constVal struct {
 // foldFunc runs constant folding, copy propagation, branch folding,
 // unreachable-code removal and DCE on one function; reports change.
 func (o *optimizer) foldFunc(f *ir.Func) bool {
+	// Per-register tables are slices indexed by Reg.ID: IDs are dense
+	// in [0, f.NumRegs()), and no pass below allocates registers.
+	n := f.NumRegs()
+	defCount := make([]int, n)
+	defInstr := make([]*ir.Instr, n)
+	consts := make([]constVal, n)
+	copies := make([]*ir.Reg, n)
 	changed := false
 	for pass := 0; pass < 4; pass++ {
-		defCount := map[*ir.Reg]int{}
-		defInstr := map[*ir.Reg]*ir.Instr{}
+		if pass > 0 {
+			clear(defCount)
+			clear(defInstr)
+			clear(consts)
+			clear(copies)
+		}
 		for _, p := range f.Params {
-			defCount[p] = 1
+			defCount[p.ID] = 1
 		}
 		for _, blk := range f.Blocks {
 			for _, in := range blk.Instrs {
 				for _, d := range in.Dst {
-					defCount[d]++
-					defInstr[d] = in
+					defCount[d.ID]++
+					defInstr[d.ID] = in
 				}
 			}
 		}
-		consts := map[*ir.Reg]constVal{}
-		copies := map[*ir.Reg]*ir.Reg{}
-		for r, in := range defInstr {
-			if defCount[r] != 1 {
+		for id, in := range defInstr {
+			if in == nil || defCount[id] != 1 {
 				continue
 			}
 			switch in.Op {
 			case ir.OpConstInt, ir.OpConstByte, ir.OpConstBool:
-				consts[r] = constVal{op: in.Op, ival: in.IVal}
+				consts[id] = constVal{op: in.Op, ival: in.IVal}
 			case ir.OpConstVoid:
-				consts[r] = constVal{op: ir.OpConstVoid}
+				consts[id] = constVal{op: ir.OpConstVoid}
 			case ir.OpMove:
 				src := in.Args[0]
-				if defCount[src] == 1 {
-					copies[r] = src
+				if defCount[src.ID] == 1 {
+					copies[id] = src
 				}
 			}
 		}
 		// Resolve copy chains.
 		resolve := func(r *ir.Reg) *ir.Reg {
 			for i := 0; i < 16; i++ {
-				if s, ok := copies[r]; ok {
-					r = s
-				} else {
+				s := copies[r.ID]
+				if s == nil {
 					break
 				}
+				r = s
 			}
 			return r
 		}
@@ -435,7 +441,7 @@ func (o *optimizer) foldFunc(f *ir.Func) bool {
 				// trap; dropping it unpins the allocation for DCE (the
 				// devirtualizer inserts these in front of direct calls).
 				if in.Op == ir.OpNullCheck {
-					if def := defInstr[in.Args[0]]; def != nil && defCount[in.Args[0]] == 1 && freshNonNull(def.Op) {
+					if id := in.Args[0].ID; defInstr[id] != nil && defCount[id] == 1 && freshNonNull(defInstr[id].Op) {
 						in.Op = ir.OpNop
 						in.Args = nil
 						localChanged = true
@@ -463,9 +469,11 @@ func (o *optimizer) foldFunc(f *ir.Func) bool {
 	return changed
 }
 
-func constOf(consts map[*ir.Reg]constVal, r *ir.Reg) (constVal, bool) {
-	c, ok := consts[r]
-	return c, ok
+// constOf looks r up in a Reg.ID-indexed constant table. OpNop is the
+// zero Op and never a constant, so it marks "not known".
+func constOf(consts []constVal, r *ir.Reg) (constVal, bool) {
+	c := consts[r.ID]
+	return c, c.op != ir.OpNop
 }
 
 // freshNonNull reports whether op always produces a non-null value.
@@ -480,7 +488,7 @@ func freshNonNull(op ir.Op) bool {
 
 // foldInstr rewrites one instruction in place when its result is known
 // statically; reports change.
-func (o *optimizer) foldInstr(f *ir.Func, blk *ir.Block, idx int, in *ir.Instr, consts map[*ir.Reg]constVal) bool {
+func (o *optimizer) foldInstr(f *ir.Func, blk *ir.Block, idx int, in *ir.Instr, consts []constVal) bool {
 	mkConst := func(op ir.Op, v int64) {
 		in.Op = op
 		in.IVal = v
@@ -786,12 +794,13 @@ func pureOp(in *ir.Instr) bool {
 // dce removes pure instructions whose destinations are never used.
 func (o *optimizer) dce(f *ir.Func) bool {
 	changed := false
+	used := make([]bool, f.NumRegs())
 	for {
-		used := map[*ir.Reg]bool{}
+		clear(used)
 		for _, blk := range f.Blocks {
 			for _, in := range blk.Instrs {
 				for _, a := range in.Args {
-					used[a] = true
+					used[a.ID] = true
 				}
 			}
 		}
@@ -807,7 +816,7 @@ func (o *optimizer) dce(f *ir.Func) bool {
 				dead := pureOp(in) && len(in.Dst) > 0
 				if dead {
 					for _, d := range in.Dst {
-						if used[d] {
+						if used[d.ID] {
 							dead = false
 							break
 						}
