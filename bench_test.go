@@ -175,6 +175,7 @@ func BenchmarkE7_CompileSpeed(b *testing.B) {
 		src := progen.Generate(progen.Scale(k))
 		lines := float64(progen.Lines(src))
 		b.Run(map[int]string{1: "small", 4: "medium", 16: "large"}[k], func(b *testing.B) {
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Compile("gen.v", src, core.Compiled()); err != nil {

@@ -21,8 +21,12 @@ type AllocSite struct {
 
 // FuncFacts is everything the analyses learned about one function.
 type FuncFacts struct {
-	Fn  *ir.Func
-	CFG *CFG
+	Fn *ir.Func
+	// HasLoop reports whether some block of Fn lies on a cycle of its
+	// control-flow graph: exactly when BuildCFG(Fn).InLoop has a true
+	// entry. Analyze keeps only this bit; the readers that need the
+	// graph itself (the report's intervals, lint) build it.
+	HasLoop bool
 	// Effects is the interprocedural effect summary.
 	Effects Effect
 	// ParamEscapes[i] reports whether parameter i may escape the
@@ -52,10 +56,10 @@ type Result struct {
 // analyzed module.
 func (r *Result) FactsFor(fn *ir.Func) *FuncFacts { return r.byFn[fn] }
 
-// Analyze runs the whole analysis stack over mod: per-function CFGs,
-// the call graph, then the escape and effect fixpoints. Interval facts
-// feed only the analyze report, which computes them itself
-// (ReportJSON).
+// Analyze runs the whole analysis stack over mod: a loop search per
+// function, the call graph, then the escape and effect fixpoints.
+// Interval facts feed only the analyze report, which computes them
+// itself from each function's CFG (ReportJSON).
 // It never mutates mod, so stale results can coexist with further
 // transformation — consumers re-run Analyze after changing the IR.
 func Analyze(ctx context.Context, mod *ir.Module, cfg Config) (*Result, error) {
@@ -64,11 +68,13 @@ func Analyze(ctx context.Context, mod *ir.Module, cfg Config) (*Result, error) {
 		Funcs: make([]*FuncFacts, len(mod.Funcs)),
 		byFn:  make(map[*ir.Func]*FuncFacts, len(mod.Funcs)),
 	}
+	all := make([]FuncFacts, len(mod.Funcs))
 	for i, f := range mod.Funcs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		facts := &FuncFacts{Fn: f, CFG: BuildCFG(f)}
+		facts := &all[i]
+		facts.Fn, facts.HasLoop = f, hasLoop(f)
 		res.Funcs[i] = facts
 		res.byFn[f] = facts
 	}

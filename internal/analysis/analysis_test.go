@@ -255,7 +255,7 @@ def main() {
 `, true)
 	res := analyze(t, mod)
 	facts := res.FactsFor(funcByName(t, mod, "main"))
-	sum := SummarizeIntervals(computeIntervals(facts.Fn, facts.CFG))
+	sum := SummarizeIntervals(computeIntervals(facts.Fn, BuildCFG(facts.Fn)))
 	if sum.Consts == 0 {
 		t.Errorf("expected constant intervals in main, got %+v", sum)
 	}

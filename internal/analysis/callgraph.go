@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/types"
@@ -42,8 +43,23 @@ type CallGraph struct {
 	takenClosure map[*ir.Func]bool
 	takenBound   map[*ir.Func]bool
 
+	// Target memos, filled once the RTA sets are final: vtable targets
+	// by (class, slot) and indirect targets by value count. A memo's
+	// slice is shared by every site that resolves to it and clipped, so
+	// an append by a reader copies; readers must not modify it.
+	vtMemo   map[vtKey][]*ir.Func
+	indirect map[int][]*ir.Func
+
 	byFn    map[*ir.Func]*CGNode
+	order   map[*ir.Func]int // module function order
 	byClass map[*types.Class]*ir.Class
+}
+
+// vtKey names a virtual call's target set: static receiver class and
+// vtable slot.
+type vtKey struct {
+	cls  *ir.Class
+	slot int
 }
 
 // CGNode is one function's calls.
@@ -91,8 +107,10 @@ func buildCallGraph(mod *ir.Module) *CallGraph {
 		Reachable:    map[*ir.Func]bool{},
 		takenClosure: map[*ir.Func]bool{},
 		takenBound:   map[*ir.Func]bool{},
-		byFn:         map[*ir.Func]*CGNode{},
-		byClass:      map[*types.Class]*ir.Class{},
+		vtMemo:       map[vtKey][]*ir.Func{},
+		byFn:         make(map[*ir.Func]*CGNode, len(mod.Funcs)),
+		order:        make(map[*ir.Func]int, len(mod.Funcs)),
+		byClass:      make(map[*types.Class]*ir.Class, len(mod.Classes)),
 	}
 	for _, c := range mod.Classes {
 		cg.byClass[c.Type] = c
@@ -101,11 +119,7 @@ func buildCallGraph(mod *ir.Module) *CallGraph {
 	// Pass 1: collect the RTA sets — instantiated classes and taken
 	// closures. Bound-method sites are slot-based, so they are resolved
 	// against the instantiated set after it is complete.
-	type boundSite struct {
-		cls  *ir.Class
-		slot int
-	}
-	var bounds []boundSite
+	var bounds []vtKey
 	for _, f := range mod.Funcs {
 		for _, blk := range f.Blocks {
 			for _, in := range blk.Instrs {
@@ -121,7 +135,7 @@ func buildCallGraph(mod *ir.Module) *CallGraph {
 					}
 				case ir.OpMakeBound:
 					if c := cg.classOf(in.Args[0].Type); c != nil {
-						bounds = append(bounds, boundSite{c, in.FieldSlot})
+						bounds = append(bounds, vtKey{c, in.FieldSlot})
 					}
 				}
 			}
@@ -133,30 +147,41 @@ func buildCallGraph(mod *ir.Module) *CallGraph {
 			cg.takenBound[t] = true
 		}
 	}
+	cg.indexIndirect()
 
 	// Pass 2: resolve every call site.
-	cg.Nodes = make([]*CGNode, len(mod.Funcs))
-	order := map[*ir.Func]int{}
 	for i, f := range mod.Funcs {
-		order[f] = i
+		cg.order[f] = i
 	}
+	nodes := make([]CGNode, len(mod.Funcs))
+	cg.Nodes = make([]*CGNode, len(mod.Funcs))
+	// stamp[j] == i+1 records that function j is already a callee of
+	// function i.
+	stamp := make([]int, len(mod.Funcs))
 	for i, f := range mod.Funcs {
-		n := &CGNode{Fn: f, Sites: map[*ir.Instr][]*ir.Func{}}
+		n := &nodes[i]
+		n.Fn = f
 		cg.Nodes[i] = n
 		cg.byFn[f] = n
-		seen := map[*ir.Func]bool{}
 		addTargets := func(in *ir.Instr, ts []*ir.Func) {
+			if n.Sites == nil {
+				n.Sites = map[*ir.Instr][]*ir.Func{}
+			}
+			n.Sites[in] = ts
 			if ts == nil {
-				n.Sites[in] = nil
 				n.Unresolved++
 				return
 			}
-			n.Sites[in] = ts
 			for _, t := range ts {
-				if !seen[t] {
-					seen[t] = true
-					n.Callees = append(n.Callees, t)
+				if j, ok := cg.order[t]; ok {
+					if stamp[j] == i+1 {
+						continue
+					}
+					stamp[j] = i + 1
+				} else if slices.Contains(n.Callees, t) {
+					continue
 				}
+				n.Callees = append(n.Callees, t)
 			}
 		}
 		for _, blk := range f.Blocks {
@@ -180,11 +205,11 @@ func buildCallGraph(mod *ir.Module) *CallGraph {
 				}
 			}
 		}
-		sort.Slice(n.Callees, func(a, b int) bool { return order[n.Callees[a]] < order[n.Callees[b]] })
+		slices.SortFunc(n.Callees, func(a, b *ir.Func) int { return cmp.Compare(cg.order[a], cg.order[b]) })
 	}
 
 	cg.markReachable()
-	cg.markCycles(order)
+	cg.markCycles()
 	return cg
 }
 
@@ -198,13 +223,22 @@ func (cg *CallGraph) classOf(t types.Type) *ir.Class {
 	return cg.byClass[ct]
 }
 
+// noTargets is the resolved-but-empty target set: a site that can
+// only trap. It is non-nil, because a nil set means unresolved.
+var noTargets = []*ir.Func{}
+
 // vtableTargets returns the distinct implementations of slot reachable
 // from a receiver statically typed c, restricted to instantiated
 // classes, in module class order. A null receiver traps before
-// dispatch, so an empty result means the call can only trap.
+// dispatch, so an empty result means the call can only trap. Results
+// are memoized, so it must not be called before the instantiated set
+// is complete.
 func (cg *CallGraph) vtableTargets(c *ir.Class, slot int) []*ir.Func {
+	key := vtKey{c, slot}
+	if ts, ok := cg.vtMemo[key]; ok {
+		return ts
+	}
 	var out []*ir.Func
-	seen := map[*ir.Func]bool{}
 	for _, d := range cg.Mod.Classes {
 		if !cg.Instantiated[d] || !d.IsSubclassOf(c) {
 			continue
@@ -212,15 +246,36 @@ func (cg *CallGraph) vtableTargets(c *ir.Class, slot int) []*ir.Func {
 		if slot >= len(d.Vtable) || d.Vtable[slot] == nil {
 			continue
 		}
-		if t := d.Vtable[slot]; !seen[t] {
-			seen[t] = true
+		if t := d.Vtable[slot]; !slices.Contains(out, t) {
 			out = append(out, t)
 		}
 	}
 	if out == nil {
-		out = []*ir.Func{}
+		out = noTargets
 	}
+	out = slices.Clip(out)
+	cg.vtMemo[key] = out
 	return out
+}
+
+// indexIndirect fills the indirect-target memo from the final taken
+// sets, in one pass in module function order: an indirect call passing
+// n values can reach plain closures of n parameters and bound methods
+// of n+1 parameters (the hidden receiver).
+func (cg *CallGraph) indexIndirect() {
+	cg.indirect = map[int][]*ir.Func{}
+	for _, f := range cg.Mod.Funcs {
+		n := len(f.Params)
+		if cg.takenClosure[f] {
+			cg.indirect[n] = append(cg.indirect[n], f)
+		}
+		if cg.takenBound[f] {
+			cg.indirect[n-1] = append(cg.indirect[n-1], f)
+		}
+	}
+	for n, ts := range cg.indirect {
+		cg.indirect[n] = slices.Clip(ts)
+	}
 }
 
 // indirectTargets returns every taken function an indirect call
@@ -228,17 +283,10 @@ func (cg *CallGraph) vtableTargets(c *ir.Class, slot int) []*ir.Func {
 // closures of nargs parameters, plus bound methods of nargs+1
 // parameters (the hidden receiver).
 func (cg *CallGraph) indirectTargets(nargs int) []*ir.Func {
-	var out []*ir.Func
-	for _, f := range cg.Mod.Funcs {
-		if (cg.takenClosure[f] && len(f.Params) == nargs) ||
-			(cg.takenBound[f] && len(f.Params) == nargs+1) {
-			out = append(out, f)
-		}
+	if ts, ok := cg.indirect[nargs]; ok {
+		return ts
 	}
-	if out == nil {
-		out = []*ir.Func{}
-	}
-	return out
+	return noTargets
 }
 
 // UniqueIndirectTarget resolves an indirect call passing nargs values
@@ -247,19 +295,14 @@ func (cg *CallGraph) indirectTargets(nargs int) []*ir.Func {
 // lives only in the runtime function value, so the call cannot be
 // rewritten to a direct call).
 func (cg *CallGraph) UniqueIndirectTarget(nargs int) (*ir.Func, bool) {
-	var target *ir.Func
-	for _, f := range cg.Mod.Funcs {
-		if cg.takenBound[f] && len(f.Params) == nargs+1 {
-			return nil, false
-		}
-		if cg.takenClosure[f] && len(f.Params) == nargs {
-			if target != nil {
-				return nil, false
-			}
-			target = f
-		}
+	// A plain-closure candidate has nargs parameters and a bound-method
+	// candidate nargs+1, so a lone candidate with nargs parameters that
+	// is a taken closure is the unique plain one.
+	ts := cg.indirectTargets(nargs)
+	if len(ts) == 1 && cg.takenClosure[ts[0]] && len(ts[0].Params) == nargs {
+		return ts[0], true
 	}
-	return target, target != nil
+	return nil, false
 }
 
 // markReachable floods the resolved edges from main and the global
@@ -315,7 +358,7 @@ func (cg *CallGraph) markReachable() {
 // edges) and flags every function on a cycle; a function with
 // unresolved call sites is conservatively cyclic too, since the
 // unknown callee could call back.
-func (cg *CallGraph) markCycles(order map[*ir.Func]int) {
+func (cg *CallGraph) markCycles() {
 	n := len(cg.Nodes)
 	idx := make([]int, n)
 	low := make([]int, n)
@@ -323,20 +366,17 @@ func (cg *CallGraph) markCycles(order map[*ir.Func]int) {
 	for i := range idx {
 		idx[i] = -1
 	}
-	succs := make([][]int, n)
-	for i, node := range cg.Nodes {
-		for _, c := range node.Callees {
-			succs[i] = append(succs[i], order[c])
-		}
-	}
+	// The successors of v are its callees, as module indices.
+	callees := func(v int) []*ir.Func { return cg.Nodes[v].Callees }
 	var stack []int
 	counter := 0
 	type frame struct{ v, next int }
+	var work []frame
 	for root := 0; root < n; root++ {
 		if idx[root] != -1 {
 			continue
 		}
-		work := []frame{{v: root}}
+		work = append(work[:0], frame{v: root})
 		idx[root], low[root] = counter, counter
 		counter++
 		stack = append(stack, root)
@@ -344,8 +384,8 @@ func (cg *CallGraph) markCycles(order map[*ir.Func]int) {
 		for len(work) > 0 {
 			top := &work[len(work)-1]
 			v := top.v
-			if top.next < len(succs[v]) {
-				w := succs[v][top.next]
+			if top.next < len(callees(v)) {
+				w := cg.order[callees(v)[top.next]]
 				top.next++
 				if idx[w] == -1 {
 					idx[w], low[w] = counter, counter
@@ -366,28 +406,27 @@ func (cg *CallGraph) markCycles(order map[*ir.Func]int) {
 				}
 			}
 			if low[v] == idx[v] {
-				var scc []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
+				// v roots an SCC: the stack from v up.
+				k := len(stack) - 1
+				for stack[k] != v {
+					k--
+				}
+				scc := stack[k:]
+				for _, w := range scc {
 					onStack[w] = false
-					scc = append(scc, w)
-					if w == v {
-						break
-					}
 				}
 				if len(scc) > 1 {
 					for _, w := range scc {
 						cg.Nodes[w].InCycle = true
 					}
 				} else {
-					w := scc[0]
-					for _, s := range succs[w] {
-						if s == w {
-							cg.Nodes[w].InCycle = true
+					for _, c := range callees(v) {
+						if cg.order[c] == v {
+							cg.Nodes[v].InCycle = true
 						}
 					}
 				}
+				stack = stack[:k]
 			}
 		}
 	}

@@ -143,6 +143,69 @@ func (g *CFG) findLoops() {
 	}
 }
 
+// hasLoop reports whether some block of f lies on a cycle, exactly
+// when BuildCFG(f).InLoop has a true entry, without building the CFG:
+// the compile path reads only this bit. An iterative three-colour DFS
+// from every block in order meets an edge back to a block still on its
+// stack exactly when the block graph has a cycle, self-loops included.
+// Blocks are found by their dense IDs; edges to blocks outside f are
+// ignored, as BuildCFG ignores them.
+func hasLoop(f *ir.Func) bool {
+	const (
+		white = iota // not yet visited
+		grey         // on the DFS stack
+		black        // finished
+	)
+	n, nb := len(f.Blocks), f.NumBlocks()
+	// pos maps a block ID to the block's index in f.Blocks, or -1;
+	// color is per index. One allocation holds both.
+	buf := make([]int32, nb+n)
+	pos, color := buf[:nb], buf[nb:]
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, b := range f.Blocks {
+		pos[b.ID] = int32(i)
+	}
+	index := func(b *ir.Block) int {
+		if b.ID < 0 || b.ID >= nb {
+			return -1
+		}
+		if i := pos[b.ID]; i >= 0 && f.Blocks[i] == b {
+			return int(i)
+		}
+		return -1
+	}
+	type frame struct{ b, next int }
+	stack := make([]frame, 0, n) // a block is pushed at most once
+	for root := range f.Blocks {
+		if color[root] != white {
+			continue
+		}
+		color[root] = grey
+		stack = append(stack, frame{b: root})
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			if t := f.Blocks[top.b].Terminator(); t != nil && top.next < len(t.Blocks) {
+				j := index(t.Blocks[top.next])
+				top.next++
+				switch {
+				case j < 0:
+				case color[j] == grey:
+					return true
+				case color[j] == white:
+					color[j] = grey
+					stack = append(stack, frame{b: j})
+				}
+				continue
+			}
+			color[top.b] = black
+			stack = stack[:len(stack)-1]
+		}
+	}
+	return false
+}
+
 // SCCs returns the strongly connected components of the block graph in
 // deterministic order (Tarjan, iterative; components come out in
 // reverse topological order).

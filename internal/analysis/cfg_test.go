@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/types"
 )
 
 // TestBuildCFGShapes: table-driven structural checks over lowered
@@ -121,6 +123,73 @@ def main() { System.puti(f(3)); }
 			}
 			if hasLoop != tc.wantLoop {
 				t.Errorf("hasLoop = %v, want %v", hasLoop, tc.wantLoop)
+			}
+		})
+	}
+}
+
+// TestHasLoopAgreesWithCFG: hasLoop finds a cycle exactly when
+// BuildCFG marks some block InLoop, on hand-built block graphs. succs
+// lists each block's targets by index; foreignLow and foreignHigh stand
+// for blocks of another function, whose IDs alias one of ours or lie
+// past our NumBlocks. Both must be ignored, as BuildCFG ignores them.
+func TestHasLoopAgreesWithCFG(t *testing.T) {
+	const (
+		foreignLow  = -1
+		foreignHigh = -2
+	)
+	cases := []struct {
+		name  string
+		succs [][]int
+		want  bool
+	}{
+		{"straight_line", [][]int{{1}, {2}, {}}, false},
+		{"diamond", [][]int{{1, 2}, {3}, {3}, {}}, false},
+		{"self_loop", [][]int{{1}, {1, 2}, {}}, true},
+		{"natural_loop", [][]int{{1}, {2, 3}, {1}, {}}, true},
+		{"unreachable_cycle", [][]int{{}, {2}, {1}}, true},
+		{"foreign_alias", [][]int{{foreignLow}}, false},
+		{"foreign_past_end", [][]int{{1}, {foreignHigh, 0}}, true},
+		{"foreign_only_exit", [][]int{{1, foreignHigh}, {foreignLow}}, false},
+	}
+	tc := types.NewCache()
+	other := &ir.Func{Name: "other", Results: []types.Type{tc.Void()}, VtSlot: -1}
+	low := other.NewBlock()
+	low.Instrs = []*ir.Instr{{Op: ir.OpRet}}
+	high := &ir.Block{ID: 7, Instrs: []*ir.Instr{{Op: ir.OpRet}}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := &ir.Func{Name: "f", Results: []types.Type{tc.Void()}, VtSlot: -1}
+			for range c.succs {
+				f.NewBlock()
+			}
+			cond := f.NewReg(tc.Bool(), "")
+			for i, succ := range c.succs {
+				var targets []*ir.Block
+				for _, j := range succ {
+					switch j {
+					case foreignLow:
+						targets = append(targets, low)
+					case foreignHigh:
+						targets = append(targets, high)
+					default:
+						targets = append(targets, f.Blocks[j])
+					}
+				}
+				var term *ir.Instr
+				switch len(targets) {
+				case 0:
+					term = &ir.Instr{Op: ir.OpRet}
+				case 1:
+					term = &ir.Instr{Op: ir.OpJump, Blocks: targets}
+				default:
+					term = &ir.Instr{Op: ir.OpBranch, Args: []*ir.Reg{cond}, Blocks: targets}
+				}
+				f.Blocks[i].Instrs = []*ir.Instr{term}
+			}
+			cfgLoop := slices.Contains(BuildCFG(f).InLoop, true)
+			if got := hasLoop(f); got != cfgLoop || got != c.want {
+				t.Errorf("hasLoop = %v, BuildCFG loop = %v, want %v", got, cfgLoop, c.want)
 			}
 		})
 	}

@@ -128,11 +128,8 @@ func computeEffects(res *Result) {
 				e |= localEffects(in)
 			}
 		}
-		for b := range facts.CFG.Blocks {
-			if facts.CFG.InLoop[b] {
-				e |= EffDiverge
-				break
-			}
+		if facts.HasLoop {
+			e |= EffDiverge
 		}
 		node := res.CallGraph.NodeFor(f)
 		if node != nil {

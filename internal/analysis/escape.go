@@ -38,33 +38,69 @@ type escapeState struct {
 // computeEscapes fills FuncFacts.EscapingRegs, ParamEscapes, and
 // NonEscaping for every function in res.
 func computeEscapes(res *Result) {
-	es := &escapeState{res: res, summaries: map[*ir.Func][]bool{}}
-	for _, f := range res.Mod.Funcs {
-		es.summaries[f] = make([]bool, len(f.Params))
+	funcs := res.Mod.Funcs
+	es := newEscapeState(res)
+	// Worklist fixpoint: a function's set depends only on its callees'
+	// summaries, so it is recomputed only when one of them grew. The
+	// worklist starts with every function in module order. Summaries
+	// only grow, so this reaches the same least fixpoint as sweeping the
+	// whole module until nothing changes, and each function's last set
+	// was computed against summaries that never grew afterwards: those
+	// sets are the final facts.
+	callers := reverseCallees(res.CallGraph)
+	escs := make([][]bool, len(funcs))
+	queued := make([]bool, len(funcs))
+	work := make([]int, len(funcs))
+	for i := range work {
+		work[i] = i
+		queued[i] = true
 	}
-	// Global fixpoint: recompute every function against the current
-	// summaries until no summary changes. Functions are visited in
-	// module order, so the iteration — and therefore every derived
-	// artifact — is deterministic. The last sweep changed no summary,
-	// so every set it computed already holds against the fixed
-	// summaries; those sets are the final facts.
-	escs := make([][]bool, len(res.Mod.Funcs))
-	for changed := true; changed; {
-		changed = false
-		for i, f := range res.Mod.Funcs {
-			esc := es.escapingRegs(f)
-			escs[i] = esc
-			sum := es.summaries[f]
-			for k, p := range f.Params {
-				if esc[p.ID] && !sum[k] {
-					sum[k] = true
-					changed = true
-				}
+	for len(work) > 0 {
+		i := work[0]
+		work = work[1:]
+		queued[i] = false
+		escs[i] = es.escapingRegs(funcs[i], escs[i])
+		if !es.widen(funcs[i], escs[i]) {
+			continue
+		}
+		for _, c := range callers[i] {
+			if !queued[c] {
+				queued[c] = true
+				work = append(work, c)
 			}
 		}
 	}
-	for i, f := range res.Mod.Funcs {
-		facts := res.Funcs[i]
+	es.record(escs)
+}
+
+// newEscapeState starts the fixpoint at its bottom: no parameter of
+// any function escapes.
+func newEscapeState(res *Result) *escapeState {
+	es := &escapeState{res: res, summaries: make(map[*ir.Func][]bool, len(res.Mod.Funcs))}
+	for _, f := range res.Mod.Funcs {
+		es.summaries[f] = make([]bool, len(f.Params))
+	}
+	return es
+}
+
+// widen adds to f's summary every parameter that esc, a set just
+// computed for f, marks escaping; it reports whether the summary grew.
+func (es *escapeState) widen(f *ir.Func, esc []bool) bool {
+	sum, grew := es.summaries[f], false
+	for k, p := range f.Params {
+		if esc[p.ID] && !sum[k] {
+			sum[k] = true
+			grew = true
+		}
+	}
+	return grew
+}
+
+// record stores the fixpoint's facts into res: escs[i] is the final
+// may-escape set of the i-th function in module order.
+func (es *escapeState) record(escs [][]bool) {
+	for i, f := range es.res.Mod.Funcs {
+		facts := es.res.Funcs[i]
 		esc := escs[i]
 		facts.EscapingRegs = esc
 		facts.ParamEscapes = es.summaries[f]
@@ -88,13 +124,34 @@ func computeEscapes(res *Result) {
 	}
 }
 
+// reverseCallees returns, for each function in module order, the
+// indices of the functions that list it among their Callees, in module
+// order.
+func reverseCallees(cg *CallGraph) [][]int {
+	callers := make([][]int, len(cg.Nodes))
+	for i, n := range cg.Nodes {
+		for _, c := range n.Callees {
+			if j, ok := cg.order[c]; ok {
+				callers[j] = append(callers[j], i)
+			}
+		}
+	}
+	return callers
+}
+
 // escapingRegs computes the set of registers of f whose values may
 // escape the frame, under the current callee summaries. The local
 // rules are iterated to a fixpoint because escape propagates backward
 // through value-transparent instructions (moves, casts, aggregates).
-// The set is indexed by Reg.ID.
-func (es *escapeState) escapingRegs(f *ir.Func) []bool {
-	esc := make([]bool, f.NumRegs())
+// The set is indexed by Reg.ID. buf is nil or a set computed earlier
+// for f, whose storage is reused.
+func (es *escapeState) escapingRegs(f *ir.Func, buf []bool) []bool {
+	esc := buf
+	if esc == nil {
+		esc = make([]bool, f.NumRegs())
+	} else {
+		clear(esc)
+	}
 	mark := func(r *ir.Reg) bool {
 		if r == nil || esc[r.ID] {
 			return false

@@ -80,9 +80,9 @@ func kindName(k ir.FuncKind) string {
 }
 
 // ReportJSON renders res as indented JSON with a trailing newline.
-// Interval facts are computed here, from each function's CFG, because
-// the report is their only reader; res must therefore describe the
-// module in its current shape.
+// Interval facts are computed here, from a CFG built for each
+// function, because the report is their only reader; res must
+// therefore describe the module in its current shape.
 func ReportJSON(res *Result) ([]byte, error) {
 	rep := report{Functions: make([]reportFunc, 0, len(res.Mod.Funcs))}
 	for i, f := range res.Mod.Funcs {
@@ -95,21 +95,17 @@ func ReportJSON(res *Result) ([]byte, error) {
 			Instrs:       f.NumInstrs(),
 			Reachable:    res.CallGraph.Reachable[f],
 			InCycle:      node.InCycle,
+			HasLoop:      facts.HasLoop,
 			Effects:      facts.Effects.Names(),
 			Pure:         facts.Effects.Pure(),
 			ParamEscapes: facts.ParamEscapes,
 			Allocs:       []reportAlloc{},
-			Intervals:    reportInterval(SummarizeIntervals(computeIntervals(f, facts.CFG))),
+			Intervals:    reportInterval(SummarizeIntervals(computeIntervals(f, BuildCFG(f)))),
 			Callees:      []string{},
 			Unresolved:   node.Unresolved,
 		}
 		if rf.ParamEscapes == nil {
 			rf.ParamEscapes = []bool{}
-		}
-		for _, b := range facts.CFG.InLoop {
-			if b {
-				rf.HasLoop = true
-			}
 		}
 		for _, site := range facts.AllocSites {
 			rf.Allocs = append(rf.Allocs, reportAlloc{

@@ -67,11 +67,41 @@ func foreignRegModule() *ir.Module {
 	return &ir.Module{Types: tc, Funcs: []*ir.Func{f}, Monomorphic: true, Normalized: true}
 }
 
+// outOfRangeBlockModule builds a one-function module whose only block
+// carries an ID past the function's NumBlocks, the shape a pass that
+// made a block by hand instead of with NewBlock would leave behind.
+func outOfRangeBlockModule() *ir.Module {
+	tc := types.NewCache()
+	f := &ir.Func{Name: "f", Results: []types.Type{tc.Int()}, VtSlot: -1}
+	b := f.NewBlock()
+	b.ID = f.NumBlocks() + 3
+	v := f.NewReg(tc.Int(), "")
+	b.Instrs = []*ir.Instr{
+		{Op: ir.OpConstInt, Dst: []*ir.Reg{v}, IVal: 7},
+		{Op: ir.OpRet, Args: []*ir.Reg{v}},
+	}
+	return &ir.Module{Types: tc, Funcs: []*ir.Func{f}, Monomorphic: true, Normalized: true}
+}
+
 // TestForeignRegisterIsStageICE: the optimizer and the analyses index
 // per-function tables by Reg.ID, so a register outside [0, NumRegs())
 // panics on the index. The stage guard must turn that panic into an
 // ICE tagged with the stage, never let it escape the process.
 func TestForeignRegisterIsStageICE(t *testing.T) {
+	testStageICE(t, foreignRegModule)
+}
+
+// TestOutOfRangeBlockIsStageICE: the same holds for blocks, whose
+// tables (the optimizer's reachability marks and predecessor counts,
+// the analyses' loop search) are indexed by Block.ID.
+func TestOutOfRangeBlockIsStageICE(t *testing.T) {
+	testStageICE(t, outOfRangeBlockModule)
+}
+
+// testStageICE runs a module built by mk through the optimizer with and
+// without analysis, and through the final analysis, and wants each to
+// fail with an index-panic ICE tagged with its stage.
+func testStageICE(t *testing.T, mk func() *ir.Module) {
 	backend := func(p *pipeline, mod *ir.Module) error {
 		_, err := p.backend(mod, backendOpts{})
 		return err
@@ -93,7 +123,7 @@ func TestForeignRegisterIsStageICE(t *testing.T) {
 			cfg := Config{Optimize: true, Analyze: tc.analyze}
 			p := &pipeline{ctx: context.Background(), cfg: cfg, comp: &Compilation{Config: cfg},
 				errs: &src.ErrorList{}, start: time.Now()}
-			err := tc.run(p, foreignRegModule())
+			err := tc.run(p, mk())
 			ice, ok := err.(*src.ICE)
 			if !ok {
 				t.Fatalf("want *src.ICE, got %T: %v", err, err)

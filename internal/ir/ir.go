@@ -195,6 +195,13 @@ type Instr struct {
 // Block is a basic block: a sequence of instructions ending in a
 // terminator.
 type Block struct {
+	// ID is dense per function: every block of f has a distinct ID in
+	// [0, f.NumBlocks()), so per-function block tables (the
+	// optimizer's reachability marks and predecessor counts, the
+	// analyses' loop search) are slices indexed by ID rather than maps.
+	// Blocks therefore come only from f.NewBlock. Passes that drop
+	// blocks leave holes; IDs are never reused. Verify rejects an ID
+	// out of range or shared by two blocks.
 	ID     int
 	Instrs []*Instr
 }
@@ -267,6 +274,12 @@ func (f *Func) NumRegs() int { return f.nextReg }
 // past them, so later NewReg calls — e.g. from optimizer inlining —
 // continue exactly where the original compilation's counter stood.
 func (f *Func) SetRegCount(n int) { f.nextReg = n }
+
+// NumBlocks returns the number of blocks allocated in f: the exclusive
+// bound of its dense block IDs, and so the length of any table indexed
+// by Block.ID. It counts blocks ever made by NewBlock, so it can exceed
+// len(f.Blocks) once a pass has dropped some.
+func (f *Func) NumBlocks() int { return f.nextBlock }
 
 // NewBlock allocates and appends a fresh basic block.
 func (f *Func) NewBlock() *Block {

@@ -142,6 +142,16 @@ func (v *verifier) isPrim(t types.Type, k types.PrimKind) bool {
 }
 
 func (v *verifier) verifyFunc(f *Func) error {
+	blockSeen := make([]bool, f.NumBlocks())
+	for _, b := range f.Blocks {
+		if b.ID < 0 || b.ID >= len(blockSeen) {
+			return fmt.Errorf("block b%d out of range [0,%d)", b.ID, len(blockSeen))
+		}
+		if blockSeen[b.ID] {
+			return fmt.Errorf("two blocks share id b%d", b.ID)
+		}
+		blockSeen[b.ID] = true
+	}
 	canon := map[int]*Reg{}
 	note := func(r *Reg) error {
 		if r == nil {

@@ -186,6 +186,47 @@ func TestVerifyRejectsRegisterOutOfRange(t *testing.T) {
 	wantVerifyError(t, &ir.Module{Types: tc, Funcs: []*ir.Func{f}}, "out of range")
 }
 
+// TestVerifyRejectsBlockOutOfRange: a block whose ID is not below its
+// function's NumBlocks breaks the density that Block.ID-indexed tables
+// rely on.
+func TestVerifyRejectsBlockOutOfRange(t *testing.T) {
+	tc := types.NewCache()
+	f := newFunc("f", tc.Void())
+	b := f.NewBlock()
+	emit(b, &ir.Instr{Op: ir.OpRet})
+	b.ID = f.NumBlocks()
+	wantVerifyError(t, &ir.Module{Types: tc, Funcs: []*ir.Func{f}}, "block b1 out of range [0,1)")
+}
+
+// TestVerifyRejectsSharedBlockID: a block spliced in from another
+// function carries that function's ID, which aliases one of ours.
+func TestVerifyRejectsSharedBlockID(t *testing.T) {
+	tc := types.NewCache()
+	other := newFunc("g", tc.Void())
+	stray := other.NewBlock()
+	emit(stray, &ir.Instr{Op: ir.OpRet})
+
+	f := newFunc("f", tc.Void())
+	b := f.NewBlock()
+	emit(b, &ir.Instr{Op: ir.OpJump, Blocks: []*ir.Block{stray}})
+	f.Blocks = append(f.Blocks, stray)
+	wantVerifyError(t, &ir.Module{Types: tc, Funcs: []*ir.Func{f}}, "two blocks share id b0")
+}
+
+// TestVerifyAcceptsDroppedBlocks: dropping blocks leaves holes below
+// NumBlocks, which is legal; only range and uniqueness are required.
+func TestVerifyAcceptsDroppedBlocks(t *testing.T) {
+	tc := types.NewCache()
+	f := newFunc("f", tc.Void())
+	b0, _, b2 := f.NewBlock(), f.NewBlock(), f.NewBlock()
+	emit(b0, &ir.Instr{Op: ir.OpJump, Blocks: []*ir.Block{b2}})
+	emit(b2, &ir.Instr{Op: ir.OpRet})
+	f.Blocks = []*ir.Block{b0, b2}
+	if err := (&ir.Module{Types: tc, Funcs: []*ir.Func{f}}).Verify(); err != nil {
+		t.Fatalf("Verify rejected a function with a dropped block: %v", err)
+	}
+}
+
 func TestVerifyRejectsBranchOnNonBool(t *testing.T) {
 	tc := types.NewCache()
 	f := newFunc("f", tc.Void())

@@ -42,8 +42,9 @@ func RunIR(mod *ir.Module, res *analysis.Result) []Finding {
 			continue
 		}
 		lintPureCalls(f, res, report)
-		lintInfiniteLoops(facts, report)
-		lintAllocInLoop(facts, report)
+		g := analysis.BuildCFG(f)
+		lintInfiniteLoops(g, report)
+		lintAllocInLoop(g, facts, report)
 	}
 	SortFindings(findings)
 	return findings
@@ -95,8 +96,7 @@ func lintPureCalls(f *ir.Func, res *analysis.Result, report irReport) {
 // run forever legitimately), and no potentially-trapping instruction.
 // Under the interpreter's step budget such a loop always dies as
 // !ResourceExhausted, so the program cannot be correct.
-func lintInfiniteLoops(facts *analysis.FuncFacts, report irReport) {
-	g := facts.CFG
+func lintInfiniteLoops(g *analysis.CFG, report irReport) {
 	for _, scc := range g.SCCs() {
 		if len(scc) == 1 {
 			self := false
@@ -164,8 +164,7 @@ func firstValidPos(g *analysis.CFG, blocks []int) (pos src.Pos) {
 // iteration charges the modeled heap, and because the value escapes,
 // the optimizer cannot stack-promote the charge away. Advisory — the
 // allocation may well be the point of the loop.
-func lintAllocInLoop(facts *analysis.FuncFacts, report irReport) {
-	g := facts.CFG
+func lintAllocInLoop(g *analysis.CFG, facts *analysis.FuncFacts, report irReport) {
 	escapes := map[*ir.Instr]bool{}
 	for _, site := range facts.AllocSites {
 		escapes[site.Instr] = site.Escapes

@@ -36,47 +36,62 @@ func (o *optimizer) devirtualizeCG(res *analysis.Result) bool {
 			continue
 		}
 		for _, blk := range f.Blocks {
-			var out []*ir.Instr
-			for _, in := range blk.Instrs {
-				ts, resolved := node.Sites[in], false
-				if t, ok := node.Sites[in]; ok && t != nil {
-					resolved = true
-					ts = t
+			var out []*ir.Instr // nil until the first rewrite; then a copy
+			for i, in := range blk.Instrs {
+				var repl [2]*ir.Instr // null check + direct call, or nothing
+				if in.Op == ir.OpCallVirtual || in.Op == ir.OpCallIndirect {
+					repl = o.devirtualizeSite(node, res.CallGraph, in)
 				}
-				uniqueIndirect, okIndirect := (*ir.Func)(nil), false
-				if in.Op == ir.OpCallIndirect && resolved {
-					uniqueIndirect, okIndirect = res.CallGraph.UniqueIndirectTarget(len(in.Args) - 1)
+				if repl[0] == nil {
+					if out != nil {
+						out = append(out, in)
+					}
+					continue
 				}
-				switch {
-				case in.Op == ir.OpCallVirtual && resolved && len(ts) == 1 &&
-					len(ts[0].Params) == len(in.Args):
-					// The virtual dispatch null-checked the receiver; keep
-					// that trap.
-					out = append(out, &ir.Instr{Op: ir.OpNullCheck, Args: []*ir.Reg{in.Args[0]}, Pos: in.Pos})
-					out = append(out, &ir.Instr{
-						Op: ir.OpCallStatic, Dst: in.Dst, Fn: ts[0],
-						Args: in.Args, Pos: in.Pos,
-					})
-					o.st.Devirtualized++
-					changed = true
-				case okIndirect:
-					// Invoking a null function value traps; keep that trap.
-					// Args[0] is the closure, the rest are the values.
-					out = append(out, &ir.Instr{Op: ir.OpNullCheck, Args: []*ir.Reg{in.Args[0]}, Pos: in.Pos})
-					out = append(out, &ir.Instr{
-						Op: ir.OpCallStatic, Dst: in.Dst, Fn: uniqueIndirect,
-						Args: in.Args[1:], Pos: in.Pos,
-					})
-					o.st.DevirtIndirect++
-					changed = true
-				default:
-					out = append(out, in)
+				if out == nil {
+					out = append(make([]*ir.Instr, 0, len(blk.Instrs)+1), blk.Instrs[:i]...)
 				}
+				out = append(out, repl[0], repl[1])
+				changed = true
 			}
-			blk.Instrs = out
+			if out != nil {
+				blk.Instrs = out
+			}
 		}
 	}
 	return changed
+}
+
+// devirtualizeSite returns the null check and direct call that replace
+// the virtual or indirect call in, or two nils when the site does not
+// have exactly one callable target.
+func (o *optimizer) devirtualizeSite(node *analysis.CGNode, cg *analysis.CallGraph, in *ir.Instr) [2]*ir.Instr {
+	ts := node.Sites[in]
+	if ts == nil {
+		return [2]*ir.Instr{}
+	}
+	switch {
+	case in.Op == ir.OpCallVirtual && len(ts) == 1 && len(ts[0].Params) == len(in.Args):
+		// The virtual dispatch null-checked the receiver; keep that trap.
+		o.st.Devirtualized++
+		return [2]*ir.Instr{
+			{Op: ir.OpNullCheck, Args: []*ir.Reg{in.Args[0]}, Pos: in.Pos},
+			{Op: ir.OpCallStatic, Dst: in.Dst, Fn: ts[0], Args: in.Args, Pos: in.Pos},
+		}
+	case in.Op == ir.OpCallIndirect:
+		target, ok := cg.UniqueIndirectTarget(len(in.Args) - 1)
+		if !ok {
+			return [2]*ir.Instr{}
+		}
+		// Invoking a null function value traps; keep that trap.
+		// Args[0] is the closure, the rest are the values.
+		o.st.DevirtIndirect++
+		return [2]*ir.Instr{
+			{Op: ir.OpNullCheck, Args: []*ir.Reg{in.Args[0]}, Pos: in.Pos},
+			{Op: ir.OpCallStatic, Dst: in.Dst, Fn: target, Args: in.Args[1:], Pos: in.Pos},
+		}
+	}
+	return [2]*ir.Instr{}
 }
 
 // elimPureCalls removes static calls to pure functions whose results
@@ -93,9 +108,9 @@ func (o *optimizer) elimPureCalls(res *analysis.Result) bool {
 		// SSA, so CSE and dead-call checks must see every definition.
 		// The tables are indexed by Reg.ID.
 		n := f.NumRegs()
-		used := make([]bool, n)
-		defCount := make([]int, n)
-		defInstr := make([]*ir.Instr, n)
+		used := table(&o.used, n)
+		defCount := table(&o.defCount, n)
+		defInstr := table(&o.defInstr, n)
 		for _, p := range f.Params {
 			defCount[p.ID]++
 		}
@@ -112,16 +127,22 @@ func (o *optimizer) elimPureCalls(res *analysis.Result) bool {
 		}
 		singleDef := func(r *ir.Reg) bool { return defCount[r.ID] == 1 }
 		for _, blk := range f.Blocks {
-			seen := map[string]*ir.Instr{}
-			var out []*ir.Instr
-			for _, in := range blk.Instrs {
-				if in.Op != ir.OpCallStatic || in.Fn == nil {
-					out = append(out, in)
-					continue
+			var seen map[string]*ir.Instr // CSE candidates; made at first use
+			var out []*ir.Instr           // nil until the first edit; then a copy
+			edit := func(i int) {
+				if out == nil {
+					out = append(make([]*ir.Instr, 0, len(blk.Instrs)), blk.Instrs[:i]...)
 				}
-				facts := res.FactsFor(in.Fn)
+			}
+			for i, in := range blk.Instrs {
+				facts := (*analysis.FuncFacts)(nil)
+				if in.Op == ir.OpCallStatic && in.Fn != nil {
+					facts = res.FactsFor(in.Fn)
+				}
 				if facts == nil {
-					out = append(out, in)
+					if out != nil {
+						out = append(out, in)
+					}
 					continue
 				}
 				// Dead pure call: no result is ever read.
@@ -134,6 +155,7 @@ func (o *optimizer) elimPureCalls(res *analysis.Result) bool {
 						}
 					}
 					if dead {
+						edit(i)
 						o.st.PureCallsRemoved++
 						changed = true
 						continue
@@ -153,6 +175,7 @@ func (o *optimizer) elimPureCalls(res *analysis.Result) bool {
 					if ok {
 						key := cseKey(in, defCount, defInstr)
 						if prev, dup := seen[key]; dup && len(prev.Dst) == len(in.Dst) && prevDstsSingle(prev, defCount) {
+							edit(i)
 							for k, d := range in.Dst {
 								out = append(out, &ir.Instr{
 									Op: ir.OpMove, Dst: []*ir.Reg{d},
@@ -163,12 +186,19 @@ func (o *optimizer) elimPureCalls(res *analysis.Result) bool {
 							changed = true
 							continue
 						}
+						if seen == nil {
+							seen = map[string]*ir.Instr{}
+						}
 						seen[key] = in
 					}
 				}
-				out = append(out, in)
+				if out != nil {
+					out = append(out, in)
+				}
 			}
-			blk.Instrs = out
+			if out != nil {
+				blk.Instrs = out
+			}
 		}
 	}
 	return changed

@@ -82,6 +82,10 @@ type Config struct {
 type Snapshot struct {
 	Params []*ir.Reg
 	Instrs []*ir.Instr
+	// NumRegs is the function's register count when the snapshot was
+	// taken: every register the snapshot mentions has an ID below it, so
+	// the inliner sizes its Reg.ID-indexed renaming table by it.
+	NumRegs int
 }
 
 // RoundRecord is the replay record of one fold/inline round: the
@@ -152,6 +156,33 @@ type optimizer struct {
 	tc  *types.Cache
 	cfg Config
 	st  *Stats
+
+	// Scratch tables, reused across functions and passes. Register
+	// tables are indexed by Reg.ID and block tables by Block.ID; each
+	// use takes table(&buf, n), which keeps the largest buffer seen and
+	// returns its first n entries cleared. Two uses of one buffer must
+	// never overlap.
+	defCount   []int       // foldFunc, elimPureCalls
+	defInstr   []*ir.Instr // foldFunc, elimPureCalls
+	consts     []constVal  // foldFunc
+	copies     []*ir.Reg   // foldFunc
+	used       []bool      // dce, elimPureCalls
+	regMap     []*ir.Reg   // inlineCalls, by callee Reg.ID
+	blockMark  []bool      // removeUnreachable
+	blockCount []int       // mergeBlocks
+	blockWork  []*ir.Block // removeUnreachable
+}
+
+// table returns the first n entries of *buf, cleared, growing *buf
+// when it is shorter. The result has length exactly n, so an ID out of
+// its function's range still panics on the index.
+func table[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	t := (*buf)[:n]
+	clear(t)
+	return t
 }
 
 // round returns the replay record for round r, clamped to the last
@@ -239,6 +270,7 @@ func (o *optimizer) rounds(ctx context.Context, funcs []*ir.Func, base *Recordin
 	}
 	folded := make([]bool, len(funcs))
 	inlined := make([]bool, len(funcs))
+	var prevSnaps map[string]*Snapshot
 	for r := 0; r < cfg.Rounds; r++ {
 		for i, f := range funcs {
 			if err := ctx.Err(); err != nil {
@@ -248,13 +280,24 @@ func (o *optimizer) rounds(ctx context.Context, funcs []*ir.Func, base *Recordin
 		}
 		// Freeze this round's inline candidates. Inlining below reads
 		// only these snapshots, so every function and any replay see
-		// identical callee bodies regardless of processing order.
-		snaps := map[string]*Snapshot{}
-		for _, f := range funcs {
+		// identical callee bodies regardless of processing order. A
+		// function not inlined into last round (inlined still holds
+		// round r-1) and not folded this round has the body it had at
+		// last round's snapshot, so it keeps that immutable snapshot —
+		// or, not a candidate then, is not one now.
+		snaps := make(map[string]*Snapshot, len(prevSnaps))
+		for i, f := range funcs {
+			if r > 0 && !folded[i] && !inlined[i] {
+				if s := prevSnaps[f.Name]; s != nil {
+					snaps[f.Name] = s
+				}
+				continue
+			}
 			if s := snapshotOf(f, cfg.InlineLimit); s != nil {
 				snaps[f.Name] = s
 			}
 		}
+		prevSnaps = snaps
 		lookup := func(name string) *Snapshot {
 			if live[name] {
 				return snaps[name]
@@ -337,23 +380,32 @@ func snapshotOf(f *ir.Func, limit int) *Snapshot {
 	if body[len(body)-1].Op != ir.OpRet {
 		return nil
 	}
+	nregs := 0
 	for _, in := range body {
 		for _, d := range in.Dst {
 			if slices.Contains(f.Params, d) {
 				return nil
 			}
 		}
+		nregs += len(in.Dst) + len(in.Args)
 	}
-	s := &Snapshot{Params: f.Params, Instrs: make([]*ir.Instr, len(body))}
+	// One array holds the copied instructions and one their operand
+	// lists; the snapshot is read-only, so they never grow.
+	instrs := make([]ir.Instr, len(body))
+	regs := make([]*ir.Reg, 0, nregs)
+	s := &Snapshot{Params: f.Params, Instrs: make([]*ir.Instr, len(body)), NumRegs: f.NumRegs()}
 	for i, in := range body {
-		ni := &ir.Instr{
+		ni := &instrs[i]
+		*ni = ir.Instr{
 			Op: in.Op, FieldSlot: in.FieldSlot, IVal: in.IVal,
 			SVal: in.SVal, Global: in.Global, Fn: in.Fn,
 			Type: in.Type, Type2: in.Type2, TypeArgs: in.TypeArgs,
 			Pos: in.Pos, StackAlloc: in.StackAlloc,
 		}
-		ni.Dst = append([]*ir.Reg{}, in.Dst...)
-		ni.Args = append([]*ir.Reg{}, in.Args...)
+		regs = append(regs, in.Dst...)
+		ni.Dst = regs[len(regs)-len(in.Dst) : len(regs) : len(regs)]
+		regs = append(regs, in.Args...)
+		ni.Args = regs[len(regs)-len(in.Args) : len(regs) : len(regs)]
 		s.Instrs[i] = ni
 	}
 	return s
@@ -371,18 +423,12 @@ func (o *optimizer) foldFunc(f *ir.Func) bool {
 	// Per-register tables are slices indexed by Reg.ID: IDs are dense
 	// in [0, f.NumRegs()), and no pass below allocates registers.
 	n := f.NumRegs()
-	defCount := make([]int, n)
-	defInstr := make([]*ir.Instr, n)
-	consts := make([]constVal, n)
-	copies := make([]*ir.Reg, n)
 	changed := false
 	for pass := 0; pass < 4; pass++ {
-		if pass > 0 {
-			clear(defCount)
-			clear(defInstr)
-			clear(consts)
-			clear(copies)
-		}
+		defCount := table(&o.defCount, n)
+		defInstr := table(&o.defInstr, n)
+		consts := table(&o.consts, n)
+		copies := table(&o.copies, n)
 		for _, p := range f.Params {
 			defCount[p.ID] = 1
 		}
@@ -663,7 +709,8 @@ func boolToInt(b bool) int64 {
 }
 
 // removeUnreachable drops blocks not reachable from the entry, and
-// truncates instructions after a terminator.
+// truncates instructions after a terminator. Neither edit writes into
+// the old slices.
 func (o *optimizer) removeUnreachable(f *ir.Func) bool {
 	if len(f.Blocks) == 0 {
 		return false
@@ -678,29 +725,38 @@ func (o *optimizer) removeUnreachable(f *ir.Func) bool {
 			}
 		}
 	}
-	seen := map[*ir.Block]bool{f.Blocks[0]: true}
-	work := []*ir.Block{f.Blocks[0]}
+	seen := table(&o.blockMark, f.NumBlocks())
+	seen[f.Blocks[0].ID] = true
+	work := append(o.blockWork[:0], f.Blocks[0])
 	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
+		blk := work[len(work)-1]
+		work = work[:len(work)-1]
 		if t := blk.Terminator(); t != nil {
 			for _, nb := range t.Blocks {
-				if !seen[nb] {
-					seen[nb] = true
+				if !seen[nb.ID] {
+					seen[nb.ID] = true
 					work = append(work, nb)
 				}
 			}
 		}
 	}
-	var kept []*ir.Block
-	for _, blk := range f.Blocks {
-		if seen[blk] {
-			kept = append(kept, blk)
-		} else {
-			changed = true
+	o.blockWork = work
+	var kept []*ir.Block // nil until the first drop; then a copy
+	for i, blk := range f.Blocks {
+		if seen[blk.ID] {
+			if kept != nil {
+				kept = append(kept, blk)
+			}
+			continue
 		}
+		if kept == nil {
+			kept = append(make([]*ir.Block, 0, len(f.Blocks)-1), f.Blocks[:i]...)
+		}
+		changed = true
 	}
-	f.Blocks = kept
+	if kept != nil {
+		f.Blocks = kept
+	}
 	return changed
 }
 
@@ -737,11 +793,11 @@ func (o *optimizer) threadJumps(f *ir.Func) bool {
 func (o *optimizer) mergeBlocks(f *ir.Func) bool {
 	changed := false
 	for {
-		preds := map[*ir.Block]int{}
+		preds := table(&o.blockCount, f.NumBlocks())
 		for _, b := range f.Blocks {
 			if t := b.Terminator(); t != nil {
 				for _, nb := range t.Blocks {
-					preds[nb]++
+					preds[nb.ID]++
 				}
 			}
 		}
@@ -752,7 +808,7 @@ func (o *optimizer) mergeBlocks(f *ir.Func) bool {
 				continue
 			}
 			nb := t.Blocks[0]
-			if nb == b || preds[nb] != 1 || nb == f.Blocks[0] {
+			if nb == b || preds[nb.ID] != 1 || nb == f.Blocks[0] {
 				continue
 			}
 			b.Instrs = append(b.Instrs[:len(b.Instrs)-1], nb.Instrs...)
@@ -764,7 +820,7 @@ func (o *optimizer) mergeBlocks(f *ir.Func) bool {
 		if !merged {
 			break
 		}
-		var kept []*ir.Block
+		kept := make([]*ir.Block, 0, len(f.Blocks)-1)
 		for _, b := range f.Blocks {
 			if len(b.Instrs) > 0 {
 				kept = append(kept, b)
@@ -791,12 +847,13 @@ func pureOp(in *ir.Instr) bool {
 	return false
 }
 
-// dce removes pure instructions whose destinations are never used.
+// dce removes pure instructions whose destinations are never used. A
+// block's instruction slice is replaced by a copy at its first
+// removal, never edited in place.
 func (o *optimizer) dce(f *ir.Func) bool {
 	changed := false
-	used := make([]bool, f.NumRegs())
 	for {
-		clear(used)
+		used := table(&o.used, f.NumRegs())
 		for _, blk := range f.Blocks {
 			for _, in := range blk.Instrs {
 				for _, a := range in.Args {
@@ -806,30 +863,23 @@ func (o *optimizer) dce(f *ir.Func) bool {
 		}
 		removed := false
 		for _, blk := range f.Blocks {
-			var kept []*ir.Instr
-			for _, in := range blk.Instrs {
-				if in.Op == ir.OpNop && len(in.Dst) == 0 {
-					removed = true
-					o.st.InstrsRemoved++
-					continue
-				}
-				dead := pureOp(in) && len(in.Dst) > 0
-				if dead {
-					for _, d := range in.Dst {
-						if used[d.ID] {
-							dead = false
-							break
-						}
+			var kept []*ir.Instr // nil until the first removal; then a copy
+			for i, in := range blk.Instrs {
+				if !dead(in, used) {
+					if kept != nil {
+						kept = append(kept, in)
 					}
-				}
-				if dead {
-					removed = true
-					o.st.InstrsRemoved++
 					continue
 				}
-				kept = append(kept, in)
+				if kept == nil {
+					kept = append(make([]*ir.Instr, 0, len(blk.Instrs)-1), blk.Instrs[:i]...)
+				}
+				removed = true
+				o.st.InstrsRemoved++
 			}
-			blk.Instrs = kept
+			if kept != nil {
+				blk.Instrs = kept
+			}
 		}
 		if !removed {
 			break
@@ -839,61 +889,115 @@ func (o *optimizer) dce(f *ir.Func) bool {
 	return changed
 }
 
+// dead reports whether dce may delete in: a nop with no results, or a
+// pure instruction none of whose results is in used (indexed by
+// Reg.ID).
+func dead(in *ir.Instr, used []bool) bool {
+	if in.Op == ir.OpNop && len(in.Dst) == 0 {
+		return true
+	}
+	if !pureOp(in) || len(in.Dst) == 0 {
+		return false
+	}
+	for _, d := range in.Dst {
+		if used[d.ID] {
+			return false
+		}
+	}
+	return true
+}
+
 // inlineCalls splices small single-block callees into their callers
 // (§3.3: "which the compiler may then inline"). Callee bodies come
 // from lookup — the round's frozen snapshots — never from live
-// functions, so the result is independent of inlining order.
+// functions, so the result is independent of inlining order. A block's
+// instruction slice is replaced by a copy at its first splice, never
+// edited in place.
 func (o *optimizer) inlineCalls(f *ir.Func, lookup func(name string) *Snapshot) bool {
 	changed := false
 	for _, blk := range f.Blocks {
-		var out []*ir.Instr
-		for _, in := range blk.Instrs {
+		var out []*ir.Instr // nil until the first splice; then a copy
+		for i, in := range blk.Instrs {
 			var snap *Snapshot
 			if in.Op == ir.OpCallStatic && in.Fn != nil && in.Fn.Name != f.Name {
 				snap = lookup(in.Fn.Name)
 			}
 			if snap == nil {
-				out = append(out, in)
+				if out != nil {
+					out = append(out, in)
+				}
 				continue
 			}
-			regMap := map[*ir.Reg]*ir.Reg{}
-			for k, p := range snap.Params {
-				regMap[p] = in.Args[k]
+			if out == nil {
+				out = append(make([]*ir.Instr, 0, len(blk.Instrs)+len(snap.Instrs)), blk.Instrs[:i]...)
 			}
-			mapReg := func(r *ir.Reg) *ir.Reg {
-				if nr, ok := regMap[r]; ok {
-					return nr
-				}
-				nr := f.NewReg(r.Type, r.Name)
-				regMap[r] = nr
-				return nr
-			}
-			body := snap.Instrs
-			for _, ci := range body[:len(body)-1] {
-				ni := &ir.Instr{
-					Op: ci.Op, FieldSlot: ci.FieldSlot, IVal: ci.IVal,
-					SVal: ci.SVal, Global: ci.Global, Fn: ci.Fn,
-					Type: ci.Type, Type2: ci.Type2, TypeArgs: ci.TypeArgs,
-					Pos: ci.Pos, StackAlloc: ci.StackAlloc,
-				}
-				for _, d := range ci.Dst {
-					ni.Dst = append(ni.Dst, mapReg(d))
-				}
-				for _, a := range ci.Args {
-					ni.Args = append(ni.Args, mapReg(a))
-				}
-				out = append(out, ni)
-			}
-			ret := body[len(body)-1]
-			for k, d := range in.Dst {
-				if k < len(ret.Args) {
-					out = append(out, &ir.Instr{Op: ir.OpMove, Dst: []*ir.Reg{d}, Args: []*ir.Reg{mapReg(ret.Args[k])}})
-				}
-			}
+			out = o.splice(f, out, in, snap)
 			o.st.Inlined++
 			changed = true
 		}
-		blk.Instrs = out
+		if out != nil {
+			blk.Instrs = out
+		}
 	}
 	return changed
+}
+
+// splice appends to out the inlined body of call site in, whose callee
+// is snap: the body's instructions over fresh caller registers, then a
+// move of each returned value into the call's destination.
+func (o *optimizer) splice(f *ir.Func, out []*ir.Instr, in *ir.Instr, snap *Snapshot) []*ir.Instr {
+	// regMap renames callee registers, indexed by callee Reg.ID.
+	regMap := table(&o.regMap, snap.NumRegs)
+	for k, p := range snap.Params {
+		regMap[p.ID] = in.Args[k]
+	}
+	mapReg := func(r *ir.Reg) *ir.Reg {
+		if nr := regMap[r.ID]; nr != nil {
+			return nr
+		}
+		nr := f.NewReg(r.Type, r.Name)
+		regMap[r.ID] = nr
+		return nr
+	}
+	body := snap.Instrs
+	ret := body[len(body)-1]
+	nres := min(len(in.Dst), len(ret.Args))
+	// One array holds the new instructions and one their operand lists.
+	// Each operand list is capped at its length, so a later append to
+	// it reallocates instead of overwriting its neighbour.
+	nregs := 2 * nres
+	for _, ci := range body[:len(body)-1] {
+		nregs += len(ci.Dst) + len(ci.Args)
+	}
+	instrs := make([]ir.Instr, len(body)-1+nres)
+	regs := make([]*ir.Reg, 0, nregs)
+	operands := func(rs []*ir.Reg) []*ir.Reg {
+		if len(rs) == 0 {
+			return nil
+		}
+		for _, r := range rs {
+			regs = append(regs, mapReg(r))
+		}
+		return regs[len(regs)-len(rs) : len(regs) : len(regs)]
+	}
+	for k, ci := range body[:len(body)-1] {
+		ni := &instrs[k]
+		*ni = ir.Instr{
+			Op: ci.Op, FieldSlot: ci.FieldSlot, IVal: ci.IVal,
+			SVal: ci.SVal, Global: ci.Global, Fn: ci.Fn,
+			Type: ci.Type, Type2: ci.Type2, TypeArgs: ci.TypeArgs,
+			Pos: ci.Pos, StackAlloc: ci.StackAlloc,
+		}
+		ni.Dst = operands(ci.Dst)
+		ni.Args = operands(ci.Args)
+		out = append(out, ni)
+	}
+	for k := 0; k < nres; k++ {
+		mv := &instrs[len(body)-1+k]
+		regs = append(regs, in.Dst[k], mapReg(ret.Args[k]))
+		n := len(regs)
+		*mv = ir.Instr{Op: ir.OpMove, Dst: regs[n-2 : n-1 : n-1], Args: regs[n-1 : n : n]}
+		out = append(out, mv)
+	}
+	return out
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mono"
 	"repro/internal/norm"
 	"repro/internal/parser"
+	"repro/internal/progen"
 	"repro/internal/src"
 	"repro/internal/testprogs"
 	"repro/internal/typecheck"
@@ -257,4 +258,104 @@ func TestOptimizeIdempotent(t *testing.T) {
 		t.Errorf("second optimize changed size: %d -> %d", before, mod.NumInstrs())
 	}
 	_ = st
+}
+
+// TestSnapshotReuse: under Config.Record, a function whose body did
+// not change since the previous round's snapshot (not inlined into in
+// that round, not folded in this one) keeps the same *Snapshot, and a
+// function that was inlined into or folded gets a new one.
+func TestSnapshotReuse(t *testing.T) {
+	mod := compileNorm(t, `
+def leaf(x: int) -> int { return x + 1; }
+def mid(x: int) -> int { return leaf(x) * 2; }
+def top(x: int) -> int { return mid(x) - 3; }
+def long(x: int) -> int {
+	var a = 1;
+	var b = a + 1;
+	var c = b + 1;
+	var d = c + 1;
+	var e = d + 1;
+	var f = e + 1;
+	var g = f + 1;
+	return x + g;
+}
+def main() { System.puti(top(4)); System.puti(long(2)); }
+`)
+	rec := &Recording{}
+	if _, err := Optimize(context.Background(), mod, Config{Record: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if got := run(t, mod); got != "79" {
+		t.Fatalf("output = %q, want 79", got)
+	}
+	if len(rec.Rounds) < 3 {
+		t.Fatalf("recorded %d rounds, want at least 3", len(rec.Rounds))
+	}
+	snap := func(r int, name string) *Snapshot {
+		t.Helper()
+		s := rec.Rounds[r].Snaps[name]
+		if s == nil {
+			t.Fatalf("round %d has no snapshot of %s", r, name)
+		}
+		return s
+	}
+	// leaf never changes.
+	for r := 1; r < len(rec.Rounds); r++ {
+		if snap(r, "leaf") != snap(0, "leaf") {
+			t.Errorf("round %d: leaf got a new snapshot though it never changed", r)
+		}
+	}
+	// mid is inlined into in round 0, and in round 1 only folds the
+	// splice's moves; round 2 reuses round 1's snapshot.
+	if snap(1, "mid") == snap(0, "mid") {
+		t.Error("round 1: mid kept its snapshot though leaf was inlined into it in round 0")
+	}
+	if snap(2, "mid") != snap(1, "mid") {
+		t.Error("round 2: mid got a new snapshot though round 1 did not inline into it and round 2 did not fold it")
+	}
+	// long calls nothing, but needs more fold passes than one round runs.
+	if !rec.Rounds[1].Changed["long"] || snap(1, "long") == snap(0, "long") {
+		t.Error("round 1: long folded but kept its round 0 snapshot")
+	}
+	// Generally: no change in the previous round or this one means the
+	// same snapshot.
+	for r := 1; r < len(rec.Rounds); r++ {
+		prev, cur := rec.Rounds[r-1], rec.Rounds[r]
+		for name, s := range cur.Snaps {
+			if ps := prev.Snaps[name]; ps != nil && !prev.Changed[name] && !cur.Changed[name] && ps != s {
+				t.Errorf("round %d: unchanged %s got a new snapshot", r, name)
+			}
+		}
+	}
+}
+
+// TestOptimizeAllocs pins the optimizer's allocation rate, analysis
+// runs included, on an unoptimized progen Scale 4 module. The passes
+// reuse scratch tables sized to the largest function seen, copy a
+// block's instruction slice only when they change it, and keep an
+// unchanged function's inline snapshot across rounds; with all of that
+// a run measures about 9.3k allocations, and without it about 61k.
+// The 20k ceiling fails if per-function or per-block allocation comes
+// back.
+func TestOptimizeAllocs(t *testing.T) {
+	const runs = 4
+	source := progen.Generate(progen.Scale(4))
+	// AllocsPerRun makes one warm-up call before the measured ones, and
+	// Optimize rewrites its module, so every call gets a fresh module.
+	mods := make([]*ir.Module, runs+1)
+	for i := range mods {
+		mods[i] = compileNorm(t, source)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		mod := mods[next]
+		next++
+		if _, err := Optimize(context.Background(), mod, Config{Analyze: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("opt.Optimize{Analyze: true} on progen Scale 4: %.0f allocs/run", allocs)
+	if allocs > 20000 {
+		t.Errorf("opt.Optimize allocs/run = %.0f, want <= 20000: the optimizer's allocation diet regressed", allocs)
+	}
 }
