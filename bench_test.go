@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/interp"
 	"repro/internal/progen"
 	"repro/internal/testprogs"
@@ -185,6 +186,28 @@ func BenchmarkE7_CompileSpeed(b *testing.B) {
 			linesPerSec := lines * float64(b.N) / b.Elapsed().Seconds()
 			b.ReportMetric(linesPerSec, "lines/sec")
 			b.ReportMetric(lines, "lines")
+		})
+	}
+}
+
+// translated keeps BenchmarkE7_Translate's result live.
+var translated *engine.Program
+
+// BenchmarkE7_Translate measures bytecode translation alone on the
+// same generated programs: engine.Compile of the optimized module, the
+// step the edit loop repeats after every one-function edit.
+func BenchmarkE7_Translate(b *testing.B) {
+	for _, k := range []int{1, 4, 16} {
+		comp, err := core.Compile("gen.v", progen.Generate(progen.Scale(k)), core.Compiled())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(map[int]string{1: "small", 4: "medium", 16: "large"}[k], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				translated = engine.Compile(comp.Module)
+			}
+			b.ReportMetric(float64(comp.Module.NumInstrs()), "ir-instrs")
 		})
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/interp"
+	"repro/internal/profile"
 	"repro/internal/src"
 	"repro/internal/testprogs"
 )
@@ -159,6 +161,85 @@ func TestEngineDifferentialTraps(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// hotTrapSource raises !BoundsCheckException three calls below a hot
+// loop. Every function on the path runs often enough for a harvested
+// profile to mark it hot, and each has straight-line scalar arithmetic
+// for profile-driven run fusion to merge, so the trapping instruction
+// and every caller's call site sit at pcs that fusion has renumbered.
+// Each helper branches, so the inliner keeps every frame.
+const hotTrapSource = `
+def f3(a: Array<int>, i: int) -> int {
+	var x = i * 3 + 1;
+	var y = x - i + 7;
+	var z = y * 2 - x;
+	if (z > 0) return a[i] + z;
+	return z;
+}
+def f2(a: Array<int>, i: int) -> int {
+	var k = i + 1;
+	var m = k * 2 - 1;
+	if (m > i) return f3(a, i) + m;
+	return 0;
+}
+def f1(a: Array<int>, i: int) -> int {
+	var k = i * 5;
+	var m = k + 3 - i;
+	if (m >= 0) return f2(a, i) - m;
+	return 1;
+}
+def hot(a: Array<int>, n: int) -> int {
+	var s = 0;
+	for (i = 0; i < n; i++) {
+		var u = s + i;
+		var v = u * 3 - i;
+		s = v - u * 2 + 1;
+		s = s + f1(a, i);
+	}
+	return s;
+}
+def main() -> int {
+	var a = Array<int>.new(200);
+	for (i = 0; i < a.length; i++) a[i] = i;
+	return hot(a, 201);
+}
+`
+
+// TestEngineDifferentialHotTrap is the trap differential under
+// profile-hot translation: it harvests a profile from the trapping run,
+// recompiles with it, and requires both engines to agree on the trap's
+// name, message and rendered trace, and on Stats. The trace runs
+// through fused functions, whose frame positions the bytecode engine
+// resolves from the recorded pc only when the trap needs them.
+func TestEngineDifferentialHotTrap(t *testing.T) {
+	cfg := core.Compiled()
+	prof, err := recordTierProfile("hot.v", hotTrapSource, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fn := range []string{"hot", "f1", "f2", "f3"} {
+		if pf := prof.Funcs[fn]; pf == nil || pf.Calls < profile.DefaultHotCalls && pf.Steps < profile.DefaultHotSteps {
+			t.Fatalf("harvested profile does not mark %s hot: %+v", fn, pf)
+		}
+	}
+	cfg.PGO = prof
+	bc, sw, ok := runBothEngines(t, "pgo", "hot.v", hotTrapSource, cfg)
+	if !ok {
+		t.Fatal("profile-guided compile failed")
+	}
+	sameRun(t, "pgo", bc, sw)
+	ve, ok := bc.Err.(*interp.VirgilError)
+	if !ok || ve.Name != "!BoundsCheckException" {
+		t.Fatalf("want !BoundsCheckException under both engines, got %v", bc.Err)
+	}
+	var frames []string
+	for _, fr := range ve.Trace {
+		frames = append(frames, fr.Func)
+	}
+	if got, want := strings.Join(frames, " "), "f3 f2 f1 hot main"; got != want {
+		t.Fatalf("trace frames = %q, want %q", got, want)
 	}
 }
 

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/interp"
@@ -97,6 +99,23 @@ def main() { }
 			}
 		} else if slotOf(e) >= fc.nS {
 			t.Errorf("reg %d: scalar slot %d >= nS %d", i, slotOf(e), fc.nS)
+		}
+	}
+}
+
+// TestInstrLayout pins the hot instruction's layout: at most 64 bytes
+// and no pointers, so code arrays stay compact and the garbage
+// collector never scans them.
+func TestInstrLayout(t *testing.T) {
+	if size := unsafe.Sizeof(einstr{}); size > 64 {
+		t.Errorf("einstr is %d bytes, want <= 64", size)
+	}
+	typ := reflect.TypeOf(einstr{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Uint8, reflect.Uint32, reflect.Int32, reflect.Int64:
+		default:
+			t.Errorf("einstr.%s has kind %s; the hot instruction must hold only integers", f.Name, f.Type.Kind())
 		}
 	}
 }

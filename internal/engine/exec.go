@@ -84,6 +84,24 @@ func (rec *recorder) branch(idx int32, taken bool) {
 	}
 }
 
+// frame is one activation on the engine's call stack: the function and
+// the pc it is executing, or -1 before its first instruction. Source
+// positions are looked up from fnCode.pos only when a trap needs a
+// trace, so the dispatch loop records a pc and never copies a position.
+type frame struct {
+	fn *fnCode
+	pc int
+}
+
+// trace renders fr as the interpreter's trace frame.
+func (fr *frame) trace() interp.Frame {
+	pos := fr.fn.entryPos
+	if fr.pc >= 0 {
+		pos = fr.fn.pos[fr.pc]
+	}
+	return interp.Frame{Func: fr.fn.name, Pos: pos}
+}
+
 // Engine executes a compiled Program. An Engine holds all mutable
 // run state (globals, inline caches, stats, pools); the Program it
 // runs is immutable and may be shared across concurrent Engines.
@@ -98,7 +116,7 @@ type Engine struct {
 	maxHeap  int64
 	deadline time.Time
 	done     <-chan struct{}
-	frames   []interp.Frame
+	frames   []frame
 
 	gS []int64
 	gR []interp.Value
@@ -496,7 +514,7 @@ func (e *Engine) traceSnapshot() ([]interp.Frame, int) {
 	}
 	out := make([]interp.Frame, keep)
 	for k := 0; k < keep; k++ {
-		out[k] = e.frames[n-1-k]
+		out[k] = e.frames[n-1-k].trace()
 	}
 	return out, n - keep
 }
@@ -535,7 +553,7 @@ func (e *Engine) enterBoxed(f *ir.Func, args []interp.Value, targs []types.Type)
 	if fn == nil {
 		return 0, fmt.Errorf("interp: no translated code for %s", f.Name)
 	}
-	e.frames = append(e.frames, interp.Frame{Func: fn.name, Pos: fn.entryPos})
+	e.frames = append(e.frames, frame{fn: fn, pc: -1})
 	env := e.bindEnv(f, targs)
 	var n int
 	var err error
@@ -578,7 +596,7 @@ func (e *Engine) callPlanned(fn *fnCode, plan []argMove, cs []int64, cr []interp
 	if len(e.frames) >= e.maxDepth {
 		return 0, e.trap("!StackOverflow", fmt.Sprintf("call depth limit %d reached calling %s", e.maxDepth, fn.name))
 	}
-	e.frames = append(e.frames, interp.Frame{Func: fn.name, Pos: fn.entryPos})
+	e.frames = append(e.frames, frame{fn: fn, pc: -1})
 	s := e.getS(fn.nS)
 	r := e.getR(fn.nR)
 	var err error
@@ -642,8 +660,8 @@ func (e *Engine) storeRets(dsts []uint32, s []int64, r []interp.Value, n int) er
 // callVirtual dispatches one virtual call, with a monomorphic inline
 // cache keyed on the receiver's class. Slow path mirrors the
 // interpreter's OpCallVirtual case exactly.
-func (e *Engine) callVirtual(fn *fnCode, ins *einstr, s []int64, r []interp.Value, env tenv) error {
-	recv, ok := getv(s, r, ins.args[0]).(*interp.ObjVal)
+func (e *Engine) callVirtual(fn *fnCode, ins *einstr, cd *coldInstr, s []int64, r []interp.Value, env tenv) error {
+	recv, ok := getv(s, r, cd.args[0]).(*interp.ObjVal)
 	if !ok {
 		return &interp.VirgilError{Name: "!NullCheckException"}
 	}
@@ -665,22 +683,22 @@ func (e *Engine) callVirtual(fn *fnCode, ins *einstr, s []int64, r []interp.Valu
 		if err != nil {
 			return err
 		}
-		return e.storeRets(ins.dsts, s, r, n)
+		return e.storeRets(cd.dsts, s, r, n)
 	}
 	if e.rec != nil {
 		e.rec.sites[ins.ic].misses++
 	}
-	provided := make([]interp.Value, len(ins.args)-1)
-	for k := 1; k < len(ins.args); k++ {
-		provided[k-1] = getv(s, r, ins.args[k])
+	provided := make([]interp.Value, len(cd.args)-1)
+	for k := 1; k < len(cd.args); k++ {
+		provided[k-1] = getv(s, r, cd.args[k])
 	}
 	adapted, err := interp.Adapt(&e.stats, provided, target.Params[1:])
 	if err != nil {
 		return err
 	}
-	margs := ins.targs
-	if ins.open {
-		margs = e.substAll(ins.targs, env)
+	margs := cd.targs
+	if ins.open() {
+		margs = e.substAll(cd.targs, env)
 	}
 	targsAll := e.virtualTypeArgs(target, recv, margs)
 	callArgs := append([]interp.Value{recv}, adapted...)
@@ -698,22 +716,22 @@ func (e *Engine) callVirtual(fn *fnCode, ins *einstr, s []int64, r []interp.Valu
 			*ic = icEntry{mega: true, installs: installs}
 		} else {
 			ic2 := icEntry{cls: recv.Class, installs: installs}
-			if tf := e.p.fns[target]; tf != nil && !tf.hasTP && len(ins.args) == len(target.Params) {
-				plan := make([]argMove, len(ins.args)-1)
-				for k := 1; k < len(ins.args); k++ {
-					plan[k-1] = argMove{src: ins.args[k], dst: tf.params[k]}
+			if tf := e.p.fns[target]; tf != nil && !tf.hasTP && len(cd.args) == len(target.Params) {
+				plan := make([]argMove, len(cd.args)-1)
+				for k := 1; k < len(cd.args); k++ {
+					plan[k-1] = argMove{src: cd.args[k], dst: tf.params[k]}
 				}
 				ic2.fast, ic2.plan = tf, plan
 			}
 			*ic = ic2
 		}
 	}
-	return e.storeRets(ins.dsts, s, r, n)
+	return e.storeRets(cd.dsts, s, r, n)
 }
 
 // callIndirect invokes a closure value, with a monomorphic inline
 // cache keyed on the closure's function and bound-receiver shape.
-func (e *Engine) callIndirect(ins *einstr, fvv interp.Value, s []int64, r []interp.Value) error {
+func (e *Engine) callIndirect(ins *einstr, cd *coldInstr, fvv interp.Value, s []int64, r []interp.Value) error {
 	fv, ok := fvv.(*interp.FuncVal)
 	if !ok {
 		return &interp.VirgilError{Name: "!NullCheckException"}
@@ -732,13 +750,13 @@ func (e *Engine) callIndirect(ins *einstr, fvv interp.Value, s []int64, r []inte
 		if err != nil {
 			return err
 		}
-		return e.storeRets(ins.dsts, s, r, n)
+		return e.storeRets(cd.dsts, s, r, n)
 	}
 	if e.rec != nil {
 		e.rec.sites[ins.ic].misses++
 	}
-	provided := make([]interp.Value, len(ins.args))
-	for k, a := range ins.args {
+	provided := make([]interp.Value, len(cd.args))
+	for k, a := range cd.args {
 		provided[k] = getv(s, r, a)
 	}
 	n, err := e.invokeClosure(fv, provided)
@@ -746,12 +764,12 @@ func (e *Engine) callIndirect(ins *einstr, fvv interp.Value, s []int64, r []inte
 		return err
 	}
 	if ic.mega {
-		return e.storeRets(ins.dsts, s, r, n)
+		return e.storeRets(cd.dsts, s, r, n)
 	}
 	installs := ic.installs + 1
 	if installs > megaInstalls {
 		*ic = icEntry{mega: true, installs: installs}
-		return e.storeRets(ins.dsts, s, r, n)
+		return e.storeRets(cd.dsts, s, r, n)
 	}
 	ic2 := icEntry{ifn: fv.Fn, hasRecv: fv.HasRecv, installs: installs}
 	if tf := e.p.fns[fv.Fn]; tf != nil && !tf.hasTP {
@@ -761,16 +779,16 @@ func (e *Engine) callIndirect(ins *einstr, fvv interp.Value, s []int64, r []inte
 			np--
 			off = 1
 		}
-		if len(ins.args) == np {
-			plan := make([]argMove, len(ins.args))
-			for k, a := range ins.args {
+		if len(cd.args) == np {
+			plan := make([]argMove, len(cd.args))
+			for k, a := range cd.args {
 				plan[k] = argMove{src: a, dst: tf.params[k+off]}
 			}
 			ic2.fast, ic2.plan = tf, plan
 		}
 	}
 	*ic = ic2
-	return e.storeRets(ins.dsts, s, r, n)
+	return e.storeRets(cd.dsts, s, r, n)
 }
 
 // invokeClosure mirrors the interpreter's invokeClosure: dynamic arity
@@ -808,7 +826,7 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 	pc := 0
 	for {
 		ins := &code[pc]
-		e.frames[fi].Pos = ins.pos
+		e.frames[fi].pc = pc
 		if n := int64(ins.nsteps); n != 0 {
 			old := e.stats.Steps
 			nw := old + n
@@ -831,19 +849,22 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 		case opConstS:
 			s[slotOf(ins.dst)] = ins.imm
 		case opConstR:
-			r[slotOf(ins.dst)] = ins.val
+			cd := &fn.cold[ins.cold]
+			r[slotOf(ins.dst)] = cd.val
 		case opConstNullO:
-			v := interp.DefaultValue(e.tc, e.subst(ins.typ, env))
+			cd := &fn.cold[ins.cold]
+			v := interp.DefaultValue(e.tc, e.subst(cd.typ, env))
 			if err := setv(s, r, ins.dst, v); err != nil {
 				return 0, err
 			}
 		case opConstStr:
-			if ve := e.charge(interp.StringBytes(len(ins.tmpl))); ve != nil {
+			cd := &fn.cold[ins.cold]
+			if ve := e.charge(interp.StringBytes(len(cd.tmpl))); ve != nil {
 				return 0, ve
 			}
-			elems := make([]interp.Value, len(ins.tmpl))
-			copy(elems, ins.tmpl)
-			r[slotOf(ins.dst)] = &interp.ArrVal{Elem: ins.typ, Elems: elems}
+			elems := make([]interp.Value, len(cd.tmpl))
+			copy(elems, cd.tmpl)
+			r[slotOf(ins.dst)] = &interp.ArrVal{Elem: cd.typ, Elems: elems}
 
 		case opMoveSS:
 			s[slotOf(ins.dst)] = s[slotOf(ins.a)]
@@ -990,9 +1011,11 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			}
 			continue
 		case opFused:
-			runSubs(ins.subs, s, r, e.gS)
+			cd := &fn.cold[ins.cold]
+			runSubs(cd.subs, fn.cold, s, r, e.gS)
 		case opFusedBr:
-			runSubs(ins.subs, s, r, e.gS)
+			cd := &fn.cold[ins.cold]
+			runSubs(cd.subs, fn.cold, s, r, e.gS)
 			var c bool
 			switch ins.k {
 			case fbrS:
@@ -1018,25 +1041,27 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 		case opRet0:
 			return 0, nil
 		case opRet:
-			for k, a := range ins.args {
+			cd := &fn.cold[ins.cold]
+			for k, a := range cd.args {
 				if isRefEnc(a) {
 					e.ret[k] = retval{v: r[slotOf(a)], kind: kRef}
 				} else {
 					e.ret[k] = retval{s: s[slotOf(a)], kind: uint8(kindOf(a))}
 				}
 			}
-			return len(ins.args), nil
+			return len(cd.args), nil
 
 		case opMakeTuple:
+			cd := &fn.cold[ins.cold]
 			// noheap: stack-promoted, the charge is skipped in both
 			// engines identically (see ir.Instr.StackAlloc).
-			if !ins.noheap {
-				if ve := e.charge(interp.TupleBytes(len(ins.args))); ve != nil {
+			if !ins.noheap() {
+				if ve := e.charge(interp.TupleBytes(len(cd.args))); ve != nil {
 					return 0, ve
 				}
 			}
-			vs := make(interp.TupleVal, len(ins.args))
-			for k, a := range ins.args {
+			vs := make(interp.TupleVal, len(cd.args))
+			for k, a := range cd.args {
 				vs[k] = getv(s, r, a)
 			}
 			e.stats.TupleAllocs++
@@ -1053,24 +1078,26 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			}
 
 		case opNewObjC:
-			if ins.xerr != nil {
-				return 0, ins.xerr
+			cd := &fn.cold[ins.cold]
+			if cd.xerr != nil {
+				return 0, cd.xerr
 			}
-			if !ins.noheap {
-				if ve := e.charge(interp.ObjectBytes(len(ins.tmpl))); ve != nil {
+			if !ins.noheap() {
+				if ve := e.charge(interp.ObjectBytes(len(cd.tmpl))); ve != nil {
 					return 0, ve
 				}
 			}
-			fields := make([]interp.Value, len(ins.tmpl))
-			copy(fields, ins.tmpl)
-			r[slotOf(ins.dst)] = &interp.ObjVal{Class: ins.cls, Args: ins.targs, Fields: fields}
+			fields := make([]interp.Value, len(cd.tmpl))
+			copy(fields, cd.tmpl)
+			r[slotOf(ins.dst)] = &interp.ObjVal{Class: cd.cls, Args: cd.targs, Fields: fields}
 		case opNewObjO:
-			ct := e.subst(ins.typ, env).(*types.Class)
+			cd := &fn.cold[ins.cold]
+			ct := e.subst(cd.typ, env).(*types.Class)
 			cls, err := e.p.classFor(ct)
 			if err != nil {
 				return 0, err
 			}
-			if !ins.noheap {
+			if !ins.noheap() {
 				if ve := e.charge(interp.ObjectBytes(len(cls.Fields))); ve != nil {
 					return 0, ve
 				}
@@ -1099,13 +1126,14 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			}
 
 		case opArrNewC, opArrNewO:
+			cd := &fn.cold[ins.cold]
 			var elem types.Type
 			void := false
 			if ins.op == opArrNewC {
-				elem = ins.typ
+				elem = cd.typ
 				void = ins.k == 1
 			} else {
-				at := e.subst(ins.typ, env).(*types.Array)
+				at := e.subst(cd.typ, env).(*types.Array)
 				elem = at.Elem
 				void = at.Elem == e.tc.Void()
 			}
@@ -1126,7 +1154,7 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 				av.Elems = make([]interp.Value, n)
 				var d interp.Value
 				if ins.op == opArrNewC {
-					d = ins.val
+					d = cd.val
 				} else {
 					d = interp.DefaultValue(e.tc, elem)
 				}
@@ -1195,48 +1223,54 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			}
 
 		case opCallF:
-			n, err := e.callPlanned(ins.fn, ins.plan, s, r, nil, false)
+			cd := &fn.cold[ins.cold]
+			n, err := e.callPlanned(cd.fn, cd.plan, s, r, nil, false)
 			if err != nil {
 				return 0, err
 			}
-			if err := e.storeRets(ins.dsts, s, r, n); err != nil {
+			if err := e.storeRets(cd.dsts, s, r, n); err != nil {
 				return 0, err
 			}
 		case opCallB:
-			args := e.getV(len(ins.args))
-			for k, a := range ins.args {
+			cd := &fn.cold[ins.cold]
+			args := e.getV(len(cd.args))
+			for k, a := range cd.args {
 				args[k] = getv(s, r, a)
 			}
-			targs := ins.targs
-			if ins.open {
-				targs = e.substAll(ins.targs, env)
+			targs := cd.targs
+			if ins.open() {
+				targs = e.substAll(cd.targs, env)
 			}
-			n, err := e.enterBoxed(ins.irFn, args, targs)
+			n, err := e.enterBoxed(cd.irFn, args, targs)
 			e.putV(args)
 			if err != nil {
 				return 0, err
 			}
-			if err := e.storeRets(ins.dsts, s, r, n); err != nil {
+			if err := e.storeRets(cd.dsts, s, r, n); err != nil {
 				return 0, err
 			}
 		case opCallVirt:
-			if err := e.callVirtual(fn, ins, s, r, env); err != nil {
+			cd := &fn.cold[ins.cold]
+			if err := e.callVirtual(fn, ins, cd, s, r, env); err != nil {
 				return 0, err
 			}
 		case opCallInd:
-			if err := e.callIndirect(ins, getv(s, r, ins.a), s, r); err != nil {
+			cd := &fn.cold[ins.cold]
+			if err := e.callIndirect(ins, cd, getv(s, r, ins.a), s, r); err != nil {
 				return 0, err
 			}
 		case opGLoadCallInd:
-			if err := e.callIndirect(ins, e.gR[ins.aux], s, r); err != nil {
+			cd := &fn.cold[ins.cold]
+			if err := e.callIndirect(ins, cd, e.gR[ins.aux], s, r); err != nil {
 				return 0, err
 			}
 		case opCallBuiltin:
-			args := e.getV(len(ins.args))
-			for k, a := range ins.args {
+			cd := &fn.cold[ins.cold]
+			args := e.getV(len(cd.args))
+			for k, a := range cd.args {
 				args[k] = getv(s, r, a)
 			}
-			res, err := interp.CallBuiltin(e.out, ins.sval, args, e.stats.Steps)
+			res, err := interp.CallBuiltin(e.out, cd.sval, args, e.stats.Steps)
 			e.putV(args)
 			if err != nil {
 				return 0, err
@@ -1248,40 +1282,42 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			}
 
 		case opMakeClosure:
-			if !ins.noheap {
+			cd := &fn.cold[ins.cold]
+			if !ins.noheap() {
 				if ve := e.charge(interp.ClosureBytes); ve != nil {
 					return 0, ve
 				}
 			}
-			targs := ins.targs
-			var ft types.Type = ins.typ2
-			if ins.open {
-				targs = e.substAll(ins.targs, env)
-				ft = e.subst(ins.typ2, env)
+			targs := cd.targs
+			var ft types.Type = cd.typ2
+			if ins.open() {
+				targs = e.substAll(cd.targs, env)
+				ft = e.subst(cd.typ2, env)
 			}
-			fv := &interp.FuncVal{Fn: ins.irFn, TypeArgs: targs}
+			fv := &interp.FuncVal{Fn: cd.irFn, TypeArgs: targs}
 			if f2, ok := ft.(*types.Func); ok {
 				fv.Type = f2
 			} else {
-				fv.Type = interp.ClosureType(e.tc, ins.irFn, nil, targs)
+				fv.Type = interp.ClosureType(e.tc, cd.irFn, nil, targs)
 			}
 			r[slotOf(ins.dst)] = fv
 		case opMakeBound:
+			cd := &fn.cold[ins.cold]
 			recv, ok := getv(s, r, ins.a).(*interp.ObjVal)
 			if !ok {
 				return 0, &interp.VirgilError{Name: "!NullCheckException"}
 			}
-			if !ins.noheap {
+			if !ins.noheap() {
 				if ve := e.charge(interp.ClosureBytes); ve != nil {
 					return 0, ve
 				}
 			}
 			target := recv.Class.Vtable[ins.aux]
-			targs := ins.targs
-			var ft types.Type = ins.typ2
-			if ins.open {
-				targs = e.substAll(ins.targs, env)
-				ft = e.subst(ins.typ2, env)
+			targs := cd.targs
+			var ft types.Type = cd.typ2
+			if ins.open() {
+				targs = e.substAll(cd.targs, env)
+				ft = e.subst(cd.typ2, env)
 			}
 			fv := &interp.FuncVal{Fn: target, Recv: recv, HasRecv: true, TypeArgs: targs}
 			if f2, ok := ft.(*types.Func); ok {
@@ -1292,7 +1328,8 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			r[slotOf(ins.dst)] = fv
 
 		case opConstEnumO:
-			et := e.subst(ins.typ, env).(*types.Enum)
+			cd := &fn.cold[ins.cold]
+			et := e.subst(cd.typ, env).(*types.Enum)
 			if err := setv(s, r, ins.dst, interp.EnumVal{Def: et.Def, Tag: int(ins.imm)}); err != nil {
 				return 0, err
 			}
@@ -1307,6 +1344,7 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 				r[slotOf(d)] = interp.IntVal(int32(ev.Tag))
 			}
 		case opEnumName:
+			cd := &fn.cold[ins.cold]
 			ev, ok := getv(s, r, ins.a).(interp.EnumVal)
 			if !ok {
 				return 0, fmt.Errorf("interp: %s: enum.name of non-enum", fn.name)
@@ -1322,12 +1360,13 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			for k := 0; k < len(name); k++ {
 				elems[k] = interp.ByteVal(name[k])
 			}
-			r[slotOf(ins.dst)] = &interp.ArrVal{Elem: ins.typ, Elems: elems}
+			r[slotOf(ins.dst)] = &interp.ArrVal{Elem: cd.typ, Elems: elems}
 
 		case opCastR:
-			to := ins.typ
-			if ins.open {
-				to = e.subst(ins.typ, env)
+			cd := &fn.cold[ins.cold]
+			to := cd.typ
+			if ins.open() {
+				to = e.subst(cd.typ, env)
 			}
 			v, err := interp.EvalCast(e.tc, getv(s, r, ins.a), to)
 			if err != nil {
@@ -1343,11 +1382,13 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			}
 			s[slotOf(ins.dst)] = int64(v)
 		case opCastTrap:
-			return 0, &interp.VirgilError{Name: ins.sval, Msg: ins.emsg}
+			cd := &fn.cold[ins.cold]
+			return 0, &interp.VirgilError{Name: cd.sval, Msg: cd.emsg}
 		case opQueryR:
-			to := ins.typ
-			if ins.open {
-				to = e.subst(ins.typ, env)
+			cd := &fn.cold[ins.cold]
+			to := cd.typ
+			if ins.open() {
+				to = e.subst(cd.typ, env)
 			}
 			res := interp.EvalQuery(e.tc, getv(s, r, ins.a), to)
 			if d := ins.dst; !isRefEnc(d) {
@@ -1357,11 +1398,13 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			}
 
 		case opThrow:
-			return 0, &interp.VirgilError{Name: ins.sval}
+			cd := &fn.cold[ins.cold]
+			return 0, &interp.VirgilError{Name: cd.sval}
 		case opFellOff:
 			return 0, fmt.Errorf("interp: %s: fell off block b%d", fn.name, ins.aux)
 		case opBadOp:
-			return 0, ins.xerr
+			cd := &fn.cold[ins.cold]
+			return 0, cd.xerr
 		default:
 			return 0, fmt.Errorf("interp: %s: bad bytecode op %d", fn.name, ins.op)
 		}
@@ -1379,8 +1422,9 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 // file and the scalar globals array, trap-free, and a run executes
 // atomically with respect to budget checks, so no partial store is
 // ever observable. The IntArith error returns are statically
-// impossible: Div/Mod never fuse.
-func runSubs(subs []einstr, s []int64, r []interp.Value, gS []int64) {
+// impossible: Div/Mod never fuse. cold is the function's cold table,
+// which holds the boxed constants of opConstR subs.
+func runSubs(subs []einstr, cold []coldInstr, s []int64, r []interp.Value, gS []int64) {
 	for k := range subs {
 		sub := &subs[k]
 		switch sub.op {
@@ -1389,7 +1433,7 @@ func runSubs(subs []einstr, s []int64, r []interp.Value, gS []int64) {
 		case opMoveSS:
 			s[slotOf(sub.dst)] = s[slotOf(sub.a)]
 		case opConstR:
-			r[slotOf(sub.dst)] = sub.val
+			r[slotOf(sub.dst)] = cold[sub.cold].val
 		case opMoveRR:
 			r[slotOf(sub.dst)] = r[slotOf(sub.a)]
 		case opGLoadS:

@@ -17,6 +17,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -135,40 +136,62 @@ type argMove struct {
 	src, dst uint32
 }
 
-// einstr is one bytecode instruction. Payload fields used depend on op.
+// einstr is the hot part of one bytecode instruction: every field the
+// dispatch loop reads on its common path, in 48 bytes with no pointers,
+// so the garbage collector never scans a function's code array.
+// Payload fields used depend on op. Ops that need a pointer payload (constants, types,
+// templates, call operands, fused bodies) keep it in the function's
+// cold table at index cold; the instruction's source position lives in
+// fnCode.pos at the same pc.
 type einstr struct {
 	op      uint8
 	nsteps  uint8 // IR instructions this op accounts for (0: opFellOff)
 	k       uint8 // scalar kind / flags (opArrNewC: 1 = void element)
+	flags   uint8 // fOpen, fNoheap
 	dst     uint32
 	a, b, c uint32
 	aux     int32 // ir.Op, field/vtable slot, global slot, or block id
 	ic      int32
 	t1, t2  int32 // branch targets (pc)
+	cold    int32 // index into fnCode.cold; meaningful only for ops with a cold payload
 	imm     int64
-	val     interp.Value
-	tmpl    []interp.Value
-	fn      *fnCode
-	irFn    *ir.Func
-	cls     *ir.Class
-	typ     types.Type
-	typ2    types.Type
-	targs   []types.Type
-	open    bool // typ/targs mention type parameters; substitute at runtime
-	args    []uint32
-	dsts    []uint32
-	plan    []argMove
-	sval    string
-	emsg    string
-	xerr    error
-	pos     src.Pos
-	noheap  bool // stack-promoted allocation: skip the modeled heap charge
+}
+
+// einstr flag bits.
+const (
+	// fOpen: typ/targs mention type parameters; substitute at runtime.
+	fOpen = uint8(1) << iota
+	// fNoheap: stack-promoted allocation; skip the modeled heap charge.
+	fNoheap
+)
+
+func (in *einstr) open() bool   { return in.flags&fOpen != 0 }
+func (in *einstr) noheap() bool { return in.flags&fNoheap != 0 }
+
+// coldInstr is the pointer-carrying payload of one instruction.
+type coldInstr struct {
+	val   interp.Value
+	tmpl  []interp.Value
+	fn    *fnCode
+	irFn  *ir.Func
+	cls   *ir.Class
+	typ   types.Type
+	typ2  types.Type
+	targs []types.Type
+	args  []uint32
+	dsts  []uint32
+	plan  []argMove
+	sval  string
+	emsg  string
+	xerr  error
 	// subs is the fused run body of opFused/opFusedBr: non-trapping
 	// scalar-register writes executed back-to-back under one step check.
+	// Their own cold indices point into the same function's cold table.
 	subs []einstr
 }
 
-// fnCode is one translated function.
+// fnCode is one translated function. code, pos and cold are allocated
+// once per function; code holds no pointers.
 type fnCode struct {
 	irf      *ir.Func
 	name     string
@@ -177,6 +200,8 @@ type fnCode struct {
 	params   []uint32
 	nS, nR   int
 	code     []einstr
+	pos      []src.Pos // source position per pc, parallel to code
+	cold     []coldInstr
 	hasTP    bool
 	idx      int // dense function index (profile counters, pnames)
 }
@@ -299,27 +324,38 @@ func CompileProfiled(mod *ir.Module, prof *profile.Profile) *Program {
 			p.hotFns[name] = true
 		}
 	}
-	// Pass 0: discover every executable function in deterministic
-	// order (profile.Walk: module-listed functions, init, main, vtable
-	// entries, then anything referenced from an instruction). Profile
-	// keys are assigned along this walk, so it is shared with every
-	// profile consumer.
-	work := profile.Walk(mod)
-	names := profile.Names(mod)
+	// Pass 0: discover and name every executable function in
+	// deterministic order (profile.Walk: module-listed functions, init,
+	// main, vtable entries, then anything referenced from an
+	// instruction). Profile keys are assigned along this walk, so it is
+	// shared with every profile consumer.
+	work, names := profile.Walk(mod)
+	p.pnames = names
 	// Pass 1: register classing for every function, so call plans can
-	// reference callee parameter slots before bodies are translated.
-	p.pnames = make([]string, len(work))
+	// reference callee parameter slots before bodies are translated. The
+	// function records and their register tables are each one
+	// allocation for the whole module.
+	nregs, nparams := 0, 0
+	for _, f := range work {
+		nregs += f.NumRegs()
+		nparams += len(f.Params)
+	}
+	fcs := make([]fnCode, len(work))
+	regs, params := make([]uint32, nregs), make([]uint32, nparams)
 	for i, f := range work {
-		fc := newFnCode(f)
+		fc := &fcs[i]
+		fc.regs, regs = regs[:f.NumRegs():f.NumRegs()], regs[f.NumRegs():]
+		fc.params, params = params[:len(f.Params):len(f.Params)], params[len(f.Params):]
+		fc.classify(f)
 		fc.idx = i
 		p.fns[f] = fc
-		p.pnames[i] = names[f]
 	}
 	// Pass 2: translate bodies, in worklist order so inline-cache
-	// numbering is deterministic.
+	// numbering is deterministic. One translator serves every function
+	// so its ID-indexed tables are allocated once per module.
+	tr := &translator{p: p}
 	for _, f := range work {
-		tr := &translator{p: p, f: f, fc: p.fns[f]}
-		tr.translate()
+		tr.translate(f, p.fns[f])
 	}
 	for _, fc := range p.fns {
 		if n := len(fc.irf.Results); n > p.maxRet {
@@ -332,13 +368,14 @@ func CompileProfiled(mod *ir.Module, prof *profile.Profile) *Program {
 	return p
 }
 
-// newFnCode assigns register classes and slots from the IR types.
-func newFnCode(f *ir.Func) *fnCode {
-	fc := &fnCode{irf: f, name: f.Name, hasTP: len(f.TypeParams) > 0}
+// classify fills in fc for f and assigns register classes and slots
+// from the IR types into fc.regs and fc.params, which the caller sized
+// to f.NumRegs() and len(f.Params).
+func (fc *fnCode) classify(f *ir.Func) {
+	fc.irf, fc.name, fc.hasTP = f, f.Name, len(f.TypeParams) > 0
 	if len(f.Blocks) > 0 && len(f.Blocks[0].Instrs) > 0 {
 		fc.entryPos = f.Blocks[0].Instrs[0].Pos
 	}
-	fc.regs = make([]uint32, f.NumRegs())
 	for i := range fc.regs {
 		fc.regs[i] = regNone
 	}
@@ -367,26 +404,37 @@ func newFnCode(f *ir.Func) *fnCode {
 			}
 		}
 	}
-	fc.params = make([]uint32, len(f.Params))
 	for i, pr := range f.Params {
 		fc.params[i] = fc.regs[pr.ID]
 	}
-	return fc
 }
 
-// translator holds per-function translation state.
+// translator holds translation state. The tables indexed by register
+// and block ID rely on ir's dense-ID invariant (IDs below NumRegs and
+// NumBlocks) and are reused, cleared, from one function to the next.
 type translator struct {
 	p     *Program
 	f     *ir.Func
 	fc    *fnCode
-	reads map[int]int // register ID -> total read count (fusion safety)
-	start map[*ir.Block]int32
+	reads []int32 // register ID -> total read count (fusion safety)
+	start []int32 // block ID -> first pc; -1 until the block is translated
 	fixes []fixup
 
+	// ops and moves are the current function's operand arenas, sized by
+	// the counting pass; call and tuple operand lists are carved from
+	// them instead of being allocated one by one.
+	ops   []uint32
+	moves []argMove
+	// cold collects the current function's cold entries; the function
+	// gets an exact-size copy once its body is translated.
+	cold []coldInstr
+
 	// hot enables profile-driven run fusion for this function; pend is
-	// the pending run of fusable instructions merged on emit.
+	// the pending run of fusable instructions merged on emit, pendPos
+	// their positions.
 	hot      bool
 	pend     []einstr
+	pendPos  []src.Pos
 	nextSite int // per-function call-site ordinal
 	nextBr   int // per-function branch ordinal
 }
@@ -397,35 +445,105 @@ type fixup struct {
 	blk   *ir.Block
 }
 
-func (t *translator) translate() {
-	t.hot = t.p.hotFns[t.p.pnames[t.fc.idx]]
-	t.reads = map[int]int{}
-	for _, b := range t.f.Blocks {
+// translate translates f's body into fc.
+func (t *translator) translate(f *ir.Func, fc *fnCode) {
+	t.f, t.fc = f, fc
+	t.fixes, t.cold = t.fixes[:0], t.cold[:0]
+	t.nextSite, t.nextBr = 0, 0
+	t.hot = t.p.hotFns[t.p.pnames[fc.idx]]
+	t.reads = resize(t.reads, f.NumRegs(), 0)
+	t.start = resize(t.start, f.NumBlocks(), -1)
+	// Counting pass: register reads, and the sizes of the code array
+	// and the operand arenas.
+	nins, nops, nmoves := 0, 0, 0
+	for _, b := range f.Blocks {
+		nins += len(b.Instrs)
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
 				t.reads[a.ID]++
 			}
+			nops += len(in.Args) + len(in.Dst)
+			if in.Op == ir.OpCallStatic {
+				nmoves += len(in.Args)
+			}
 		}
 	}
-	t.start = map[*ir.Block]int32{}
-	if len(t.f.Blocks) == 0 {
-		t.emit(einstr{op: opBadOp, nsteps: 1,
-			xerr: fmt.Errorf("interp: %s: function has no blocks", t.f.Name)})
-		return
+	// Fusion only ever shrinks the count; the one extra slot holds the
+	// opBadOp of a function without blocks, or the opFellOff of one
+	// block without a terminator.
+	fc.code = make([]einstr, 0, nins+1)
+	fc.pos = make([]src.Pos, 0, nins+1)
+	t.ops, t.moves = make([]uint32, 0, nops), make([]argMove, 0, nmoves)
+	if len(f.Blocks) == 0 {
+		e := einstr{op: opBadOp, nsteps: 1}
+		t.newCold(&e).xerr = fmt.Errorf("interp: %s: function has no blocks", f.Name)
+		t.emit(e, src.NoPos)
 	}
-	for _, b := range t.f.Blocks {
-		t.start[b] = int32(len(t.fc.code))
+	for _, b := range f.Blocks {
+		t.start[b.ID] = int32(len(fc.code))
 		t.block(b)
 	}
 	t.flush()
 	for _, fx := range t.fixes {
-		pc := t.start[fx.blk]
+		// A target outside the function's block list resolves to pc 0.
+		pc := max(t.startOf(fx.blk), 0)
 		if fx.which == 1 {
-			t.fc.code[fx.pc].t1 = pc
+			fc.code[fx.pc].t1 = pc
 		} else {
-			t.fc.code[fx.pc].t2 = pc
+			fc.code[fx.pc].t2 = pc
 		}
 	}
+	if len(t.cold) > 0 {
+		fc.cold = slices.Clone(t.cold)
+	}
+}
+
+// resize returns tab with length n, every entry set to fill, reusing
+// tab's storage when it is large enough.
+func resize(tab []int32, n int, fill int32) []int32 {
+	if cap(tab) < n {
+		tab = make([]int32, n)
+	}
+	tab = tab[:n]
+	for i := range tab {
+		tab[i] = fill
+	}
+	return tab
+}
+
+// startOf returns the first pc of b, or -1 when b has not been
+// translated (yet) in the current function.
+func (t *translator) startOf(b *ir.Block) int32 {
+	if b.ID < 0 || b.ID >= len(t.start) {
+		return -1
+	}
+	return t.start[b.ID]
+}
+
+// newCold gives e a fresh entry in the function's cold table and
+// returns it for the caller to fill. The pointer is valid until the
+// next call.
+func (t *translator) newCold(e *einstr) *coldInstr {
+	e.cold = int32(len(t.cold))
+	t.cold = append(t.cold, coldInstr{})
+	return &t.cold[e.cold]
+}
+
+// carve takes the next n elements of an arena whose capacity the
+// counting pass sized to cover every request.
+func carve[T any](arena *[]T, n int) []T {
+	k := len(*arena)
+	*arena = (*arena)[:k+n]
+	return (*arena)[k : k+n : k+n]
+}
+
+// encAll encodes regs into an operand list carved from the arena.
+func (t *translator) encAll(regs []*ir.Reg) []uint32 {
+	out := carve(&t.ops, len(regs))
+	for i, r := range regs {
+		out[i] = t.enc(r)
+	}
+	return out
 }
 
 // maxFuseRun caps fused run length so summed nsteps stays far inside
@@ -472,16 +590,17 @@ func brKind(op uint8) (uint8, bool) {
 	return 0, false
 }
 
-// emit appends one translated instruction. In profile-hot functions it
-// merges runs of fusable instructions on the fly — merge-on-emit, so
-// every pc a caller records for branch fixups is final and never
-// shifts. Returns the pc of the appended instruction, or -1 when the
-// instruction was buffered into a pending run (no caller records pcs
-// for fusable ops).
-func (t *translator) emit(in einstr) int {
+// emit appends one translated instruction at source position pos. In
+// profile-hot functions it merges runs of fusable instructions on the
+// fly — merge-on-emit, so every pc a caller records for branch fixups is
+// final and never shifts. Returns the pc of the appended instruction,
+// or -1 when the instruction was buffered into a pending run (no caller
+// records pcs for fusable ops).
+func (t *translator) emit(in einstr, pos src.Pos) int {
 	if t.hot {
 		if fusable(&in) {
 			t.pend = append(t.pend, in)
+			t.pendPos = append(t.pendPos, pos)
 			if len(t.pend) >= maxFuseRun {
 				t.flush()
 			}
@@ -490,27 +609,33 @@ func (t *translator) emit(in einstr) int {
 		if len(t.pend) > 0 {
 			if k, ok := brKind(in.op); ok && len(t.pend) >= minFuseBr {
 				f := einstr{op: opFusedBr, k: k, nsteps: in.nsteps,
-					a: in.a, b: in.b, imm: in.imm, aux: in.aux, ic: in.ic,
-					pos: in.pos, subs: t.take()}
-				for i := range f.subs {
-					f.nsteps += f.subs[i].nsteps
-				}
-				t.fc.code = append(t.fc.code, f)
-				return len(t.fc.code) - 1
+					a: in.a, b: in.b, imm: in.imm, aux: in.aux, ic: in.ic}
+				t.fuse(&f)
+				return t.push(f, pos)
 			}
 			t.flush()
 		}
 	}
+	return t.push(in, pos)
+}
+
+// push appends one final instruction and returns its pc.
+func (t *translator) push(in einstr, pos src.Pos) int {
 	t.fc.code = append(t.fc.code, in)
+	t.fc.pos = append(t.fc.pos, pos)
 	return len(t.fc.code) - 1
 }
 
-// take hands over the pending run, resetting the buffer.
-func (t *translator) take() []einstr {
+// fuse hands the pending run over to f as its body, adding the run's
+// steps to f's own, and resets the buffer.
+func (t *translator) fuse(f *einstr) {
 	subs := make([]einstr, len(t.pend))
 	copy(subs, t.pend)
-	t.pend = t.pend[:0]
-	return subs
+	for i := range subs {
+		f.nsteps += subs[i].nsteps
+	}
+	t.newCold(f).subs = subs
+	t.pend, t.pendPos = t.pend[:0], t.pendPos[:0]
 }
 
 // flush emits the pending run as one opFused, or, below the minimum
@@ -521,16 +646,16 @@ func (t *translator) flush() {
 		return
 	}
 	if len(t.pend) < minFuse {
-		t.fc.code = append(t.fc.code, t.pend...)
-		t.pend = t.pend[:0]
+		for i := range t.pend {
+			t.push(t.pend[i], t.pendPos[i])
+		}
+		t.pend, t.pendPos = t.pend[:0], t.pendPos[:0]
 		return
 	}
-	pos := t.pend[0].pos
-	f := einstr{op: opFused, pos: pos, subs: t.take()}
-	for i := range f.subs {
-		f.nsteps += f.subs[i].nsteps
-	}
-	t.fc.code = append(t.fc.code, f)
+	pos := t.pendPos[0]
+	f := einstr{op: opFused}
+	t.fuse(&f)
+	t.push(f, pos)
 }
 
 func (t *translator) target(pc, which int, blk *ir.Block) {
@@ -647,7 +772,7 @@ func (t *translator) block(b *ir.Block) {
 		t.instr(ins[i])
 	}
 	if b.Terminator() == nil {
-		t.emit(einstr{op: opFellOff, nsteps: 0, aux: int32(b.ID)})
+		t.emit(einstr{op: opFellOff, nsteps: 0, aux: int32(b.ID)}, src.NoPos)
 	}
 }
 
@@ -673,8 +798,8 @@ func (t *translator) fuseCmpBrI(c, cmp, br *ir.Instr) bool {
 		return false
 	}
 	pc := t.emit(einstr{op: opCmpBrSI, nsteps: 3, a: ea,
-		imm: int64(int32(c.IVal)), aux: int32(cmp.Op), pos: cmp.Pos,
-		ic: t.newBr(br.Blocks[0], br.Blocks[1])})
+		imm: int64(int32(c.IVal)), aux: int32(cmp.Op),
+		ic: t.newBr(br.Blocks[0], br.Blocks[1])}, cmp.Pos)
 	t.target(pc, 1, br.Blocks[0])
 	t.target(pc, 2, br.Blocks[1])
 	return true
@@ -694,8 +819,8 @@ func (t *translator) fuseCmpBr(cmp, br *ir.Instr) bool {
 		return false
 	}
 	pc := t.emit(einstr{op: opCmpBrSS, nsteps: 2, a: t.enc(cmp.Args[0]),
-		b: t.enc(cmp.Args[1]), aux: int32(cmp.Op), pos: cmp.Pos,
-		ic: t.newBr(br.Blocks[0], br.Blocks[1])})
+		b: t.enc(cmp.Args[1]), aux: int32(cmp.Op),
+		ic: t.newBr(br.Blocks[0], br.Blocks[1])}, cmp.Pos)
 	t.target(pc, 1, br.Blocks[0])
 	t.target(pc, 2, br.Blocks[1])
 	return true
@@ -725,7 +850,7 @@ func (t *translator) fuseArithI(c, ar *ir.Instr) bool {
 		return false
 	}
 	t.emit(einstr{op: opArithSI, nsteps: 2, dst: ed, a: eo,
-		imm: int64(int32(c.IVal)), aux: int32(ar.Op), pos: ar.Pos})
+		imm: int64(int32(c.IVal)), aux: int32(ar.Op)}, ar.Pos)
 	return true
 }
 
@@ -742,14 +867,10 @@ func (t *translator) fuseLoadCall(gl, ci *ir.Instr) bool {
 		return false
 	}
 	in := einstr{op: opGLoadCallInd, nsteps: 2, aux: int32(slotOf(genc)),
-		ic: t.newIC(true, -1), pos: ci.Pos}
-	for _, a := range ci.Args[1:] {
-		in.args = append(in.args, t.enc(a))
-	}
-	for _, d := range ci.Dst {
-		in.dsts = append(in.dsts, t.enc(d))
-	}
-	t.emit(in)
+		ic: t.newIC(true, -1)}
+	c := t.newCold(&in)
+	c.args, c.dsts = t.encAll(ci.Args[1:]), t.encAll(ci.Dst)
+	t.emit(in, ci.Pos)
 	return true
 }
 
@@ -770,10 +891,8 @@ func (t *translator) newIC(indirect bool, slot int32) int32 {
 func (t *translator) newBr(taken, not *ir.Block) int32 {
 	idx := int32(t.p.numBranches)
 	t.p.numBranches++
-	_, backT := t.start[taken]
-	_, backN := t.start[not]
 	t.p.branchMeta = append(t.p.branchMeta, brMeta{
-		fn: t.fc.idx, ord: t.nextBr, back: backT || backN,
+		fn: t.fc.idx, ord: t.nextBr, back: t.startOf(taken) >= 0 || t.startOf(not) >= 0,
 	})
 	t.nextBr++
 	return idx
@@ -781,7 +900,10 @@ func (t *translator) newBr(taken, not *ir.Block) int32 {
 
 // instr translates one IR instruction to one bytecode instruction.
 func (t *translator) instr(in *ir.Instr) {
-	e := einstr{nsteps: 1, pos: in.Pos, noheap: in.StackAlloc}
+	e := einstr{nsteps: 1}
+	if in.StackAlloc {
+		e.flags |= fNoheap
+	}
 	fname := t.f.Name
 	switch in.Op {
 	case ir.OpNop:
@@ -803,31 +925,37 @@ func (t *translator) instr(in *ir.Instr) {
 			boxed = interp.BoolVal(in.IVal != 0)
 		}
 		if isRefEnc(d) {
-			e.op, e.dst, e.val = opConstR, d, boxed
+			e.op, e.dst = opConstR, d
+			t.newCold(&e).val = boxed
 		} else {
 			e.op, e.dst, e.imm = opConstS, d, imm
 		}
 	case ir.OpConstVoid:
-		e.op, e.dst, e.val = opConstR, t.dst0(in), interp.VoidVal{}
+		e.op, e.dst = opConstR, t.dst0(in)
+		t.newCold(&e).val = interp.VoidVal{}
 	case ir.OpConstNull:
 		d := t.dst0(in)
 		if t.closed(in.Type) {
 			v := interp.DefaultValue(t.p.tc, in.Type)
 			if isRefEnc(d) {
-				e.op, e.dst, e.val = opConstR, d, v
+				e.op, e.dst = opConstR, d
+				t.newCold(&e).val = v
 			} else {
 				// Closed prim defaults are all zero in slot encoding.
 				e.op, e.dst, e.imm = opConstS, d, 0
 			}
 		} else {
-			e.op, e.dst, e.typ = opConstNullO, d, in.Type
+			e.op, e.dst = opConstNullO, d
+			t.newCold(&e).typ = in.Type
 		}
 	case ir.OpConstString:
 		tmpl := make([]interp.Value, len(in.SVal))
 		for k := 0; k < len(in.SVal); k++ {
 			tmpl[k] = interp.ByteVal(in.SVal[k])
 		}
-		e.op, e.dst, e.tmpl, e.typ = opConstStr, t.dst0(in), tmpl, t.p.tc.Byte()
+		e.op, e.dst = opConstStr, t.dst0(in)
+		c := t.newCold(&e)
+		c.tmpl, c.typ = tmpl, t.p.tc.Byte()
 
 	case ir.OpMove:
 		d, a := t.dst0(in), t.enc(in.Args[0])
@@ -902,35 +1030,35 @@ func (t *translator) instr(in *ir.Instr) {
 
 	case ir.OpMakeTuple:
 		e.op, e.dst = opMakeTuple, t.dst0(in)
-		for _, a := range in.Args {
-			e.args = append(e.args, t.enc(a))
-		}
+		t.newCold(&e).args = t.encAll(in.Args)
 	case ir.OpTupleGet:
 		e.op, e.dst, e.a, e.aux = opTupleGet, t.dst0(in), t.enc(in.Args[0]), int32(in.FieldSlot)
 
 	case ir.OpNewObject:
 		if t.closed(in.Type) {
+			c := t.newCold(&e)
 			ct, ok := in.Type.(*types.Class)
 			if !ok {
 				e.op, e.nsteps = opBadOp, 1
-				e.xerr = fmt.Errorf("interp: %s: new of non-class type %s", fname, in.Type)
+				c.xerr = fmt.Errorf("interp: %s: new of non-class type %s", fname, in.Type)
 				break
 			}
-			e.op, e.dst, e.targs = opNewObjC, t.dst0(in), ct.Args
+			e.op, e.dst, c.targs = opNewObjC, t.dst0(in), ct.Args
 			cls, err := t.p.classFor(ct)
 			if err != nil {
-				e.xerr = err
+				c.xerr = err
 				break
 			}
-			e.cls = cls
+			c.cls = cls
 			tmpl := make([]interp.Value, len(cls.Fields))
 			cenv := types.BindParams(cls.Def.TypeParams, ct.Args)
 			for k, fd := range cls.Fields {
 				tmpl[k] = interp.DefaultValue(t.p.tc, t.p.tc.Subst(fd.Type, cenv))
 			}
-			e.tmpl = tmpl
+			c.tmpl = tmpl
 		} else {
-			e.op, e.dst, e.typ = opNewObjO, t.dst0(in), in.Type
+			e.op, e.dst = opNewObjO, t.dst0(in)
+			t.newCold(&e).typ = in.Type
 		}
 	case ir.OpFieldLoad:
 		e.op, e.dst, e.a, e.aux = opFieldLoad, t.dst0(in), t.enc(in.Args[0]), int32(in.FieldSlot)
@@ -944,21 +1072,22 @@ func (t *translator) instr(in *ir.Instr) {
 		}
 
 	case ir.OpArrayNew:
+		c := t.newCold(&e)
 		if t.closed(in.Type) {
 			at, ok := in.Type.(*types.Array)
 			if !ok {
 				e.op = opBadOp
-				e.xerr = fmt.Errorf("interp: %s: array.new of non-array type %s", fname, in.Type)
+				c.xerr = fmt.Errorf("interp: %s: array.new of non-array type %s", fname, in.Type)
 				break
 			}
-			e.op, e.dst, e.a, e.typ = opArrNewC, t.dst0(in), t.enc(in.Args[0]), at.Elem
+			e.op, e.dst, e.a, c.typ = opArrNewC, t.dst0(in), t.enc(in.Args[0]), at.Elem
 			if at.Elem == t.p.tc.Void() {
 				e.k = 1
 			} else {
-				e.val = interp.DefaultValue(t.p.tc, at.Elem)
+				c.val = interp.DefaultValue(t.p.tc, at.Elem)
 			}
 		} else {
-			e.op, e.dst, e.a, e.typ = opArrNewO, t.dst0(in), t.enc(in.Args[0]), in.Type
+			e.op, e.dst, e.a, c.typ = opArrNewO, t.dst0(in), t.enc(in.Args[0]), in.Type
 		}
 	case ir.OpArrayLoad:
 		e.op, e.dst, e.a, e.b = opArrLoad, t.dst0(in), t.enc(in.Args[0]), t.enc(in.Args[1])
@@ -990,74 +1119,72 @@ func (t *translator) instr(in *ir.Instr) {
 
 	case ir.OpCallStatic:
 		callee := t.p.fns[in.Fn]
-		e.irFn, e.fn = in.Fn, callee
-		e.targs = in.TypeArgs
-		e.open = !t.closedAll(in.TypeArgs)
-		for _, d := range in.Dst {
-			e.dsts = append(e.dsts, t.enc(d))
+		c := t.newCold(&e)
+		c.irFn, c.fn = in.Fn, callee
+		c.targs = in.TypeArgs
+		if !t.closedAll(in.TypeArgs) {
+			e.flags |= fOpen
 		}
+		c.dsts = t.encAll(in.Dst)
 		if callee != nil && !callee.hasTP && len(in.Args) == len(in.Fn.Params) {
 			e.op = opCallF
-			for k, a := range in.Args {
-				e.plan = append(e.plan, argMove{src: t.enc(a), dst: callee.params[k]})
-			}
+			c.plan = t.plan(in.Args, callee.params)
 		} else {
 			e.op = opCallB
-			for _, a := range in.Args {
-				e.args = append(e.args, t.enc(a))
-			}
+			c.args = t.encAll(in.Args)
 		}
 	case ir.OpCallVirtual:
 		e.op, e.aux, e.ic = opCallVirt, int32(in.FieldSlot), t.newIC(false, int32(in.FieldSlot))
-		e.targs = in.TypeArgs
-		e.open = !t.closedAll(in.TypeArgs)
-		for _, a := range in.Args {
-			e.args = append(e.args, t.enc(a))
+		c := t.newCold(&e)
+		c.targs = in.TypeArgs
+		if !t.closedAll(in.TypeArgs) {
+			e.flags |= fOpen
 		}
-		for _, d := range in.Dst {
-			e.dsts = append(e.dsts, t.enc(d))
-		}
+		c.args, c.dsts = t.encAll(in.Args), t.encAll(in.Dst)
 	case ir.OpCallIndirect:
 		e.op, e.ic = opCallInd, t.newIC(true, -1)
 		e.a = t.enc(in.Args[0])
-		for _, a := range in.Args[1:] {
-			e.args = append(e.args, t.enc(a))
-		}
-		for _, d := range in.Dst {
-			e.dsts = append(e.dsts, t.enc(d))
-		}
+		c := t.newCold(&e)
+		c.args, c.dsts = t.encAll(in.Args[1:]), t.encAll(in.Dst)
 	case ir.OpCallBuiltin:
-		e.op, e.sval, e.dst = opCallBuiltin, in.SVal, t.dst0(in)
-		for _, a := range in.Args {
-			e.args = append(e.args, t.enc(a))
-		}
+		e.op, e.dst = opCallBuiltin, t.dst0(in)
+		c := t.newCold(&e)
+		c.sval, c.args = in.SVal, t.encAll(in.Args)
 
 	case ir.OpMakeClosure:
-		e.op, e.dst, e.irFn = opMakeClosure, t.dst0(in), in.Fn
-		e.targs, e.typ2 = in.TypeArgs, in.Type2
-		e.open = !t.closedAll(in.TypeArgs) || !t.closed(in.Type2)
+		e.op, e.dst = opMakeClosure, t.dst0(in)
+		c := t.newCold(&e)
+		c.irFn, c.targs, c.typ2 = in.Fn, in.TypeArgs, in.Type2
+		if !t.closedAll(in.TypeArgs) || !t.closed(in.Type2) {
+			e.flags |= fOpen
+		}
 	case ir.OpMakeBound:
 		e.op, e.dst, e.a, e.aux = opMakeBound, t.dst0(in), t.enc(in.Args[0]), int32(in.FieldSlot)
-		e.targs, e.typ2 = in.TypeArgs, in.Type2
-		e.open = !t.closedAll(in.TypeArgs) || !t.closed(in.Type2)
+		c := t.newCold(&e)
+		c.targs, c.typ2 = in.TypeArgs, in.Type2
+		if !t.closedAll(in.TypeArgs) || !t.closed(in.Type2) {
+			e.flags |= fOpen
+		}
 
 	case ir.OpConstEnum:
+		c := t.newCold(&e)
 		if t.closed(in.Type) {
 			et, ok := in.Type.(*types.Enum)
 			if !ok {
 				e.op = opBadOp
-				e.xerr = fmt.Errorf("interp: %s: const.enum of non-enum type %s", fname, in.Type)
+				c.xerr = fmt.Errorf("interp: %s: const.enum of non-enum type %s", fname, in.Type)
 				break
 			}
 			e.op, e.dst = opConstR, t.dst0(in)
-			e.val = interp.EnumVal{Def: et.Def, Tag: int(in.IVal)}
+			c.val = interp.EnumVal{Def: et.Def, Tag: int(in.IVal)}
 		} else {
-			e.op, e.dst, e.typ, e.imm = opConstEnumO, t.dst0(in), in.Type, in.IVal
+			e.op, e.dst, c.typ, e.imm = opConstEnumO, t.dst0(in), in.Type, in.IVal
 		}
 	case ir.OpEnumTag:
 		e.op, e.dst, e.a = opEnumTag, t.dst0(in), t.enc(in.Args[0])
 	case ir.OpEnumName:
-		e.op, e.dst, e.a, e.typ = opEnumName, t.dst0(in), t.enc(in.Args[0]), t.p.tc.Byte()
+		e.op, e.dst, e.a = opEnumName, t.dst0(in), t.enc(in.Args[0])
+		t.newCold(&e).typ = t.p.tc.Byte()
 
 	case ir.OpTypeCast:
 		t.cast(in, &e)
@@ -1072,11 +1199,15 @@ func (t *translator) instr(in *ir.Instr) {
 				e.imm = 1
 			}
 			if isRefEnc(d) {
-				e.op, e.val = opConstR, interp.BoolVal(res)
+				e.op = opConstR
+				t.newCold(&e).val = interp.BoolVal(res)
 			}
 		} else {
-			e.op, e.dst, e.a, e.typ = opQueryR, d, a, in.Type
-			e.open = !t.closed(in.Type)
+			e.op, e.dst, e.a = opQueryR, d, a
+			t.newCold(&e).typ = in.Type
+			if !t.closed(in.Type) {
+				e.flags |= fOpen
+			}
 		}
 
 	case ir.OpRet:
@@ -1084,16 +1215,14 @@ func (t *translator) instr(in *ir.Instr) {
 			e.op = opRet0
 		} else {
 			e.op = opRet
-			for _, a := range in.Args {
-				e.args = append(e.args, t.enc(a))
-			}
-			if len(e.args) > t.p.maxRet {
-				t.p.maxRet = len(e.args)
+			t.newCold(&e).args = t.encAll(in.Args)
+			if len(in.Args) > t.p.maxRet {
+				t.p.maxRet = len(in.Args)
 			}
 		}
 	case ir.OpJump:
 		e.op = opJump
-		pc := t.emit(e)
+		pc := t.emit(e, in.Pos)
 		t.target(pc, 1, in.Blocks[0])
 		return
 	case ir.OpBranch:
@@ -1104,18 +1233,29 @@ func (t *translator) instr(in *ir.Instr) {
 			e.op, e.a = opBranchR, a
 		}
 		e.ic = t.newBr(in.Blocks[0], in.Blocks[1])
-		pc := t.emit(e)
+		pc := t.emit(e, in.Pos)
 		t.target(pc, 1, in.Blocks[0])
 		t.target(pc, 2, in.Blocks[1])
 		return
 	case ir.OpThrow:
-		e.op, e.sval = opThrow, in.SVal
+		e.op = opThrow
+		t.newCold(&e).sval = in.SVal
 
 	default:
 		e.op = opBadOp
-		e.xerr = fmt.Errorf("interp: %s: unhandled op %s", fname, in.Op)
+		t.newCold(&e).xerr = fmt.Errorf("interp: %s: unhandled op %s", fname, in.Op)
 	}
-	t.emit(e)
+	t.emit(e, in.Pos)
+}
+
+// plan builds a static call's register move plan from the caller's
+// argument registers to the callee's parameter slots.
+func (t *translator) plan(args []*ir.Reg, params []uint32) []argMove {
+	plan := carve(&t.moves, len(args))
+	for i, a := range args {
+		plan[i] = argMove{src: t.enc(a), dst: params[i]}
+	}
+	return plan
 }
 
 // primOf maps a scalar kind back to its type.
@@ -1136,8 +1276,11 @@ func (t *translator) cast(in *ir.Instr, e *einstr) {
 	d, a := t.dst0(in), t.enc(in.Args[0])
 	to := in.Type
 	if !t.closed(to) || isRefEnc(a) {
-		e.op, e.dst, e.a, e.typ = opCastR, d, a, to
-		e.open = !t.closed(to)
+		e.op, e.dst, e.a = opCastR, d, a
+		t.newCold(e).typ = to
+		if !t.closed(to) {
+			e.flags |= fOpen
+		}
 		return
 	}
 	sk := kindOf(a)
@@ -1155,13 +1298,11 @@ func (t *translator) cast(in *ir.Instr, e *einstr) {
 			e.op, e.dst, e.a = opCastIntByte, d, a
 			return
 		}
-		e.op = opCastTrap
-		e.sval, e.emsg = "!TypeCheckException", "cannot cast to "+to.String()
+		t.castTrap(e, "cannot cast to "+to.String())
 		return
 	}
 	if _, ok := to.(*types.Tuple); ok {
-		e.op = opCastTrap
-		e.sval, e.emsg = "!TypeCheckException", "cannot cast to "+to.String()
+		t.castTrap(e, "cannot cast to "+to.String())
 		return
 	}
 	from := primOf(t.p.tc, sk)
@@ -1169,9 +1310,14 @@ func (t *translator) cast(in *ir.Instr, e *einstr) {
 		e.op, e.dst, e.a = opMoveBox, d, a
 		return
 	}
+	t.castTrap(e, fmt.Sprintf("%s is not a %s", from, to))
+}
+
+// castTrap makes e a cast statically known to fail with msg.
+func (t *translator) castTrap(e *einstr, msg string) {
 	e.op = opCastTrap
-	e.sval = "!TypeCheckException"
-	e.emsg = fmt.Sprintf("%s is not a %s", from, to)
+	c := t.newCold(e)
+	c.sval, c.emsg = "!TypeCheckException", msg
 }
 
 // classFor resolves a closed class type to its IR class, with the

@@ -50,7 +50,11 @@ func (o *optimizer) pgo() {
 	if prof == nil || prof.Empty() || !o.mod.Monomorphic || !o.mod.Normalized {
 		return
 	}
-	names := profile.Names(o.mod)
+	fns, pnames := profile.Walk(o.mod)
+	names := make(map[*ir.Func]string, len(fns))
+	for i, f := range fns {
+		names[f] = pnames[i]
+	}
 	funcSet := make(map[*ir.Func]bool, len(o.mod.Funcs))
 	for _, f := range o.mod.Funcs {
 		funcSet[f] = true

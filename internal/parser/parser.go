@@ -50,13 +50,19 @@ func (p *Parser) exceeded() bool {
 	return false
 }
 
+// tokenCapacity is the token slice New reserves for n bytes of source.
+// Growing a zero-cap slice to a whole file's worth of tokens costs more
+// in growslice copies than the lexing itself, so the reservation must
+// cover the whole file. Tokens average 2.51 bytes of source on the
+// paper corpus (2.02 in its densest program) and 2.54-2.57 on progen
+// Scale 1-8, so half a token per byte plus a small margin covers every
+// file measured (TestTokenCapacityCoversSources).
+func tokenCapacity(n int) int { return n/2 + 16 }
+
 // New lexes the whole file and returns a parser over its tokens.
 func New(file *src.File, errs *src.ErrorList) *Parser {
 	lx := lexer.New(file, errs)
-	// Pre-size from the source length: tokens average a few bytes of
-	// source each, and growing a zero-cap slice to a whole file's worth
-	// of tokens costs more in growslice copies than the lexing itself.
-	toks := make([]token.Token, 0, len(file.Content)/3+16)
+	toks := make([]token.Token, 0, tokenCapacity(len(file.Content)))
 	for {
 		t := lx.Next()
 		toks = append(toks, t)

@@ -1,11 +1,16 @@
 package parser
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/progen"
 	"repro/internal/src"
+	"repro/internal/testprogs"
 )
 
 func parse(t *testing.T, source string) *ast.File {
@@ -436,5 +441,41 @@ func TestNestingDepthGuard(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("want 'nesting too deep' diagnostic, got:\n%v", errs)
+	}
+}
+
+// TestTokenCapacityCoversSources checks that New's token reservation
+// holds every token of the paper corpus, the example programs and
+// generated programs of several sizes, so lexing never regrows it.
+func TestTokenCapacityCoversSources(t *testing.T) {
+	type source struct{ name, text string }
+	var srcs []source
+	for _, p := range testprogs.All() {
+		srcs = append(srcs, source{p.Name, p.Source})
+	}
+	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "virgil", "*.v"))
+	if err != nil || len(examples) == 0 {
+		t.Fatalf("no example programs found: %v", err)
+	}
+	for _, path := range examples {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, source{filepath.Base(path), string(data)})
+	}
+	for _, k := range []int{1, 2, 4, 8} {
+		srcs = append(srcs, source{fmt.Sprintf("progen-scale-%d", k), progen.Generate(progen.Scale(k))})
+	}
+	for _, s := range srcs {
+		errs := &src.ErrorList{}
+		p := New(src.NewFile(s.name, s.text), errs)
+		if !errs.Empty() {
+			t.Fatalf("%s: lex errors:\n%s", s.name, errs.Error())
+		}
+		if reserved := tokenCapacity(len(s.text)); len(p.toks) > reserved {
+			t.Errorf("%s: %d tokens from %d bytes (%.2f bytes/token) exceed the %d reserved",
+				s.name, len(p.toks), len(s.text), float64(len(s.text))/float64(len(p.toks)), reserved)
+		}
 	}
 }

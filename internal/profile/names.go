@@ -7,21 +7,27 @@ import (
 )
 
 // Walk returns every executable function of mod in the deterministic
-// discovery order the bytecode engine translates in: module-listed
+// discovery order the bytecode engine translates in — module-listed
 // functions, init, main, vtable entries, then anything referenced from
-// an instruction. Profile site/branch ordinals are assigned along this
+// an instruction — and, index-aligned with it, each function's unique
+// profile name. Profile site/branch ordinals are assigned along this
 // walk, so every consumer of a profile (the engine that records it,
-// the optimizer that applies it) must enumerate functions the same
-// way; keeping the walk here keeps them from drifting apart.
-func Walk(mod *ir.Module) []*ir.Func {
-	var work []*ir.Func
-	seen := map[*ir.Func]bool{}
+// the optimizer that applies it) must enumerate and name functions the
+// same way; keeping the walk here keeps them from drifting apart.
+//
+// A profile name is the function's IR name, with a "#k" suffix
+// disambiguating the k-th duplicate in walk order. IR names are almost
+// always unique already; the suffix only exists so a profile never
+// aliases two functions.
+func Walk(mod *ir.Module) (fns []*ir.Func, names []string) {
+	fns = make([]*ir.Func, 0, len(mod.Funcs)+2)
+	seen := make(map[*ir.Func]bool, len(mod.Funcs)+2)
 	add := func(f *ir.Func) {
 		if f == nil || seen[f] {
 			return
 		}
 		seen[f] = true
-		work = append(work, f)
+		fns = append(fns, f)
 	}
 	for _, f := range mod.Funcs {
 		add(f)
@@ -33,30 +39,22 @@ func Walk(mod *ir.Module) []*ir.Func {
 			add(vf)
 		}
 	}
-	for wi := 0; wi < len(work); wi++ {
-		for _, b := range work[wi].Blocks {
+	for wi := 0; wi < len(fns); wi++ {
+		for _, b := range fns[wi].Blocks {
 			for _, in := range b.Instrs {
 				add(in.Fn)
 			}
 		}
 	}
-	return work
-}
-
-// Names assigns each function from Walk a unique profile name: its IR
-// name, with a "#k" suffix disambiguating the k-th duplicate in walk
-// order. IR names are almost always unique already; the suffix only
-// exists so a profile never aliases two functions.
-func Names(mod *ir.Module) map[*ir.Func]string {
-	names := map[*ir.Func]string{}
-	used := map[string]int{}
-	for _, f := range Walk(mod) {
+	names = make([]string, len(fns))
+	used := make(map[string]int, len(fns))
+	for i, f := range fns {
 		name := f.Name
 		if n := used[f.Name]; n > 0 {
 			name = fmt.Sprintf("%s#%d", f.Name, n)
 		}
 		used[f.Name]++
-		names[f] = name
+		names[i] = name
 	}
-	return names
+	return fns, names
 }

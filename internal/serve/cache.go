@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/profile"
@@ -32,8 +33,10 @@ type compCache struct {
 }
 
 type cacheEntry struct {
-	key  [sha256.Size]byte
-	comp *core.Compilation
+	key [sha256.Size]byte
+	// comp is replaced when put refreshes the key, while requests that
+	// got the entry earlier read it outside the cache lock.
+	comp atomic.Pointer[core.Compilation]
 	// tier is 1 for a plain compilation, 2 for a profile-guided
 	// recompile. Immutable after insert.
 	tier int
@@ -176,10 +179,11 @@ func (c *compCache) put(key [sha256.Size]byte, comp *core.Compilation, tier int)
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
-		e.comp = comp
+		e.comp.Store(comp)
 		return e
 	}
-	e := &cacheEntry{key: key, comp: comp, tier: tier}
+	e := &cacheEntry{key: key, tier: tier}
+	e.comp.Store(comp)
 	c.m[key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.cap {
 		el := c.ll.Back()

@@ -45,7 +45,7 @@ func TestCacheConcurrentEviction(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				e := entries[(w*31+i)%len(entries)]
 				if got, ok := c.get(e.key); ok {
-					if got.comp != e.comp {
+					if got.comp.Load() != e.comp {
 						select {
 						case errs <- fmt.Errorf("stale cache entry: key %x returned the wrong compilation", e.key[:4]):
 						default:

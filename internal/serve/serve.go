@@ -654,7 +654,7 @@ func (s *Server) handleWork(w http.ResponseWriter, r *http.Request, execute bool
 	)
 	if tierable {
 		if e, ok := s.cache.get(cacheKey(cfg, req.Files, 2)); ok {
-			entry, comp = e, e.comp
+			entry, comp = e, e.comp.Load()
 			s.cacheHits.Add(1)
 			resp.Cached = true
 			resp.Tier = 2
@@ -663,7 +663,7 @@ func (s *Server) handleWork(w http.ResponseWriter, r *http.Request, execute bool
 	if comp == nil {
 		key := cacheKey(cfg, req.Files, 1)
 		if e, ok := s.cache.get(key); ok {
-			entry, comp = e, e.comp
+			entry, comp = e, e.comp.Load()
 			s.cacheHits.Add(1)
 			resp.Cached = true
 		} else {
