@@ -22,8 +22,8 @@ bench:
 bench-short:
 	$(GO) run ./cmd/bench -short
 
-# bench-check additionally enforces the -check gates (engine, tiering,
-# heap reduction, analysis overhead, incremental, cluster, baseline).
+# bench-check also judges every gate of the table in cmd/bench/gates.go,
+# prints one pass/fail/skip line per gate and exits 1 if any failed.
 bench-check:
 	$(GO) run ./cmd/bench -short -check
 

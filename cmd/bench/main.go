@@ -11,12 +11,13 @@
 //	go run ./cmd/bench -short -check   # also enforce the -check gates
 //	go run ./cmd/bench -out FILE.json  # explicit output path
 //
-// -check enforces the bytecode engine's E5 speedup floor over the
-// switch interpreter (the Engine_* series), the incremental-compile
-// floor (CompileIncremental/edit1 must beat a from-scratch compile by
-// 5x on the largest generated program), and compares the execution
-// rows against the newest committed BENCH_*.json snapshot, failing on
-// a >1.5x slowdown when the machine shape matches.
+// -check judges every gate of the table in gates.go: the engine's E5
+// speedup, the tiered geomean, the heap reduction on each churn
+// workload, the analysis compile overhead, the incremental edit1
+// speedup and the three cluster SLOs, plus one baseline gate per
+// execution row comparable with the newest committed BENCH_*.json. It
+// prints one pass, fail or skip line per gate, after the snapshot is
+// written, and exits 1 if and only if some gate failed.
 package main
 
 import (
@@ -27,13 +28,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -367,6 +365,14 @@ func table(short bool) []bench {
 	return t
 }
 
+// churnProgs are the allocation-churn workloads whose heap charges the
+// analysis layer promotes away.
+func churnProgs(n int) []testprogs.Prog {
+	return []testprogs.Prog{testprogs.BenchClosureChurn(n), testprogs.BenchObjectChurn(n)}
+}
+
+func heapRowName(p testprogs.Prog) string { return "Analysis_Heap/" + p.Name }
+
 // analysisHeapRows runs each allocation-churn workload once under the
 // full pipeline with and without the analysis layer and records the
 // modeled heap charge of both builds. The runs are deterministic, so a
@@ -380,10 +386,7 @@ func analysisHeapRows(short bool) ([]heapRow, error) {
 	without := core.Compiled()
 	without.Analyze = false
 	var rows []heapRow
-	for _, p := range []testprogs.Prog{
-		testprogs.BenchClosureChurn(n),
-		testprogs.BenchObjectChurn(n),
-	} {
+	for _, p := range churnProgs(n) {
 		heap := func(cfg core.Config) (int64, error) {
 			comp, err := core.Compile(p.Name+".v", p.Source, cfg)
 			if err != nil {
@@ -403,7 +406,7 @@ func analysisHeapRows(short bool) ([]heapRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := heapRow{Name: "Analysis_Heap/" + p.Name, HeapBytesOff: off, HeapBytesOn: on}
+		row := heapRow{Name: heapRowName(p), HeapBytesOff: off, HeapBytesOn: on}
 		if off > 0 {
 			row.ReductionPct = 100 * float64(off-on) / float64(off)
 		}
@@ -465,102 +468,15 @@ func clusterRows(short bool) ([]clusterRow, error) {
 	if short {
 		dur = 3 * time.Second
 	}
-	nofault, err := clusterScenario("Cluster_RunHeavy/nofault", false, dur)
+	nofault, err := clusterScenario(nofaultRow, false, dur)
 	if err != nil {
 		return nil, err
 	}
-	chaos, err := clusterScenario("Cluster_RunHeavy/kill", true, dur)
+	chaos, err := clusterScenario(killRow, true, dur)
 	if err != nil {
 		return nil, err
 	}
 	return []clusterRow{nofault, chaos}, nil
-}
-
-// clusterP99Factor is how much the chaos-run p99 may exceed the
-// no-fault p99 before -check fails: a killed instance must cost
-// retries and degraded local runs, not unbounded tail latency.
-const clusterP99Factor = 3.0
-
-// clusterAnsweredFloor is the minimum answered percentage either
-// scenario may report.
-const clusterAnsweredFloor = 99.0
-
-// checkCluster gates the fleet SLOs, re-measuring both scenarios once
-// before failing (fleet scenarios on a shared runner are noisy).
-func checkCluster(rows []clusterRow, short bool) bool {
-	find := func(rows []clusterRow, name string) *clusterRow {
-		for i := range rows {
-			if rows[i].Name == name {
-				return &rows[i]
-			}
-		}
-		return nil
-	}
-	nofault := find(rows, "Cluster_RunHeavy/nofault")
-	chaos := find(rows, "Cluster_RunHeavy/kill")
-	if nofault == nil || chaos == nil {
-		fmt.Fprintln(os.Stderr, "bench: -check: missing Cluster_* results")
-		return false
-	}
-	bad := func() bool {
-		return nofault.NonStructured != 0 || chaos.NonStructured != 0 ||
-			nofault.AnsweredPct < clusterAnsweredFloor || chaos.AnsweredPct < clusterAnsweredFloor ||
-			chaos.P99Ms > clusterP99Factor*nofault.P99Ms
-	}
-	if bad() {
-		fmt.Println("check: cluster SLOs missed; re-measuring both scenarios")
-		if fresh, err := clusterRows(short); err == nil {
-			if nf, ch := find(fresh, nofault.Name), find(fresh, chaos.Name); nf != nil && ch != nil {
-				// Keep the better of the two samples per scenario.
-				if nf.P99Ms > 0 && (nofault.P99Ms == 0 || nf.P99Ms < nofault.P99Ms) && nf.NonStructured == 0 && nf.AnsweredPct >= nofault.AnsweredPct {
-					*nofault = *nf
-				}
-				if ch.NonStructured <= chaos.NonStructured && ch.AnsweredPct >= chaos.AnsweredPct && (chaos.P99Ms == 0 || ch.P99Ms < chaos.P99Ms) {
-					*chaos = *ch
-				}
-			}
-		}
-	}
-	ok := true
-	for _, r := range []*clusterRow{nofault, chaos} {
-		fmt.Printf("check: %s answered %.2f%% non_structured=%d p99=%.1fms (sent %d, degraded %d)\n",
-			r.Name, r.AnsweredPct, r.NonStructured, r.P99Ms, r.Sent, r.Degraded)
-		if r.NonStructured != 0 {
-			fmt.Fprintf(os.Stderr, "bench: FAIL: %s emitted %d non-structured responses (want 0)\n", r.Name, r.NonStructured)
-			ok = false
-		}
-		if r.AnsweredPct < clusterAnsweredFloor {
-			fmt.Fprintf(os.Stderr, "bench: FAIL: %s answered %.2f%% (floor %.0f%%)\n", r.Name, r.AnsweredPct, clusterAnsweredFloor)
-			ok = false
-		}
-	}
-	factor := chaos.P99Ms / nofault.P99Ms
-	fmt.Printf("check: cluster p99 under kill = %.1fms vs %.1fms no-fault (%.2fx, ceiling %.1fx)\n",
-		chaos.P99Ms, nofault.P99Ms, factor, clusterP99Factor)
-	if chaos.P99Ms > clusterP99Factor*nofault.P99Ms {
-		fmt.Fprintf(os.Stderr, "bench: FAIL: instance kill inflates p99 %.2fx (ceiling %.1fx)\n", factor, clusterP99Factor)
-		ok = false
-	}
-	return ok
-}
-
-// heapReductionFloor is the minimum modeled-heap reduction (percent)
-// -check requires from the analysis layer on every churn workload.
-const heapReductionFloor = 30.0
-
-// checkHeapReduction gates the analysis layer's escape-analysis payoff.
-func checkHeapReduction(rows []heapRow) bool {
-	ok := true
-	for _, r := range rows {
-		fmt.Printf("check: %s heap %d -> %d bytes (%.1f%% reduction, need >= %.0f%%)\n",
-			r.Name, r.HeapBytesOff, r.HeapBytesOn, r.ReductionPct, heapReductionFloor)
-		if r.ReductionPct < heapReductionFloor {
-			fmt.Fprintf(os.Stderr, "bench: FAIL: %s below the %.0f%% heap-reduction floor\n",
-				r.Name, heapReductionFloor)
-			ok = false
-		}
-	}
-	return ok
 }
 
 // heapContainment benchmarks time-to-!HeapExhausted for one of the
@@ -735,17 +651,10 @@ func main() {
 	fnByName := map[string]func(*testing.B){}
 	for _, entry := range table(*short) {
 		fnByName[entry.name] = entry.fn
-		r := testing.Benchmark(entry.fn)
-		if r.N == 0 {
+		res, ok := measure(entry.name, entry.fn)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "bench: %s produced no iterations (failed?)\n", entry.name)
 			os.Exit(1)
-		}
-		res := result{
-			Name:        entry.name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
 		}
 		nsByName[entry.name] = res.NsPerOp
 		if tail, ok := strings.CutSuffix(entry.name, "/bytecode"); ok && res.NsPerOp > 0 {
@@ -811,293 +720,40 @@ func main() {
 	fmt.Println("wrote", path)
 
 	if *check {
-		if !checkEngine(nsByName, fnByName) || !checkTiered(nsByName, fnByName) || !checkHeapReduction(heapRows) ||
-			!checkAnalysisOverhead(nsByName, fnByName) || !checkIncremental(nsByName, fnByName) ||
-			!checkCluster(rep.Cluster, *short) || !checkBaseline(baseline, rep, fnByName) {
-			os.Exit(1)
-		}
-	}
-}
-
-// engineSpeedupFloor is the E5 bytecode-vs-switch ratio -check
-// enforces. E5 (the print1 query chain) is the workload the engine was
-// built to win: a tight scalar loop of calls, global loads, fused
-// arithmetic and compare-branches.
-const engineSpeedupFloor = 2.0
-
-// checkEngine gates the bytecode engine's E5 speedup over the switch
-// interpreter, re-measuring both sides before failing (single samples
-// on a shared runner are noisy).
-func checkEngine(ns map[string]float64, fns map[string]func(*testing.B)) bool {
-	const swRow, bcRow = "Engine_E5_Print1/switch", "Engine_E5_Print1/bytecode"
-	sw, bc := ns[swRow], ns[bcRow]
-	if sw == 0 || bc == 0 {
-		fmt.Fprintln(os.Stderr, "bench: -check: missing Engine_E5_Print1 results")
-		return false
-	}
-	for try := 0; try < 2 && sw/bc < engineSpeedupFloor; try++ {
-		fmt.Printf("check: engine E5 speedup %.2fx below %.2fx floor; re-measuring\n", sw/bc, engineSpeedupFloor)
-		if s, b := remeasure(fns[swRow]), remeasure(fns[bcRow]); s > 0 && b > 0 {
-			sw, bc = minf(sw, s), minf(bc, b)
-			ns[swRow], ns[bcRow] = sw, bc
-		}
-	}
-	speedup := sw / bc
-	fmt.Printf("check: Engine_E5_Print1 bytecode speedup vs switch = %.2fx (need >= %.2fx)\n",
-		speedup, engineSpeedupFloor)
-	if speedup < engineSpeedupFloor {
-		fmt.Fprintf(os.Stderr, "bench: FAIL: bytecode engine below the %.2fx floor on E5\n", engineSpeedupFloor)
-		return false
-	}
-	return true
-}
-
-// tieredSpeedupFloor is the minimum geomean speedup -check requires
-// from the tier-2 artifacts over the plain bytecode builds on the
-// Tiered_E{1,3,5} workloads. Both sides of each ratio are measured in
-// the same process, so this gate never depends on cross-snapshot
-// drift.
-const tieredSpeedupFloor = 1.15
-
-// tieredGateRows are the workloads the tier-up geomean is taken over.
-var tieredGateRows = []string{"Tiered_E1_TupleSmall", "Tiered_E3_HashMap", "Tiered_E5_Print1"}
-
-// checkTiered gates the feedback-directed tier-up win, re-measuring
-// both sides of every ratio before failing (single samples on a shared
-// runner are noisy).
-func checkTiered(ns map[string]float64, fns map[string]func(*testing.B)) bool {
-	geomean := func() float64 {
-		prod := 1.0
-		for _, row := range tieredGateRows {
-			ut, td := ns[row+"/untiered"], ns[row+"/tiered"]
-			if ut == 0 || td == 0 {
-				return 0
+		// remeasure runs the named benchmark rows again, and both
+		// cluster scenarios once if either is named.
+		remeasure := func(rows []string) *samples {
+			var fresh report
+			clustered := false
+			for _, row := range rows {
+				if res, ok := measure(row, fnByName[row]); ok {
+					fresh.Benchmarks = append(fresh.Benchmarks, res)
+				} else if (row == nofaultRow || row == killRow) && !clustered {
+					clustered = true
+					fresh.Cluster, _ = clusterRows(*short) // on error the old samples stand
+				}
 			}
-			prod *= ut / td
+			return newSamples(fresh)
 		}
-		return math.Pow(prod, 1/float64(len(tieredGateRows)))
+		os.Exit(runGates(os.Stdout, append(gates, baselineGates(baseline, rep)...), newSamples(rep), remeasure))
 	}
-	g := geomean()
-	if g == 0 {
-		fmt.Fprintln(os.Stderr, "bench: -check: missing Tiered_* results")
-		return false
-	}
-	for try := 0; try < 2 && g < tieredSpeedupFloor; try++ {
-		fmt.Printf("check: tiered geomean %.2fx below %.2fx floor; re-measuring\n", g, tieredSpeedupFloor)
-		for _, row := range tieredGateRows {
-			if ut, td := remeasure(fns[row+"/untiered"]), remeasure(fns[row+"/tiered"]); ut > 0 && td > 0 {
-				ns[row+"/untiered"] = minf(ns[row+"/untiered"], ut)
-				ns[row+"/tiered"] = minf(ns[row+"/tiered"], td)
-			}
-		}
-		g = geomean()
-	}
-	for _, row := range tieredGateRows {
-		fmt.Printf("check: %s tier-up speedup = %.2fx\n", row, ns[row+"/untiered"]/ns[row+"/tiered"])
-	}
-	fmt.Printf("check: tiered geomean speedup = %.2fx (need >= %.2fx)\n", g, tieredSpeedupFloor)
-	if g < tieredSpeedupFloor {
-		fmt.Fprintf(os.Stderr, "bench: FAIL: tier-up below the %.2fx geomean floor\n", tieredSpeedupFloor)
-		return false
-	}
-	return true
 }
 
-// baselineVariance is how much slower than the committed snapshot a
-// benchmark may run before -check calls it a regression. Benchmarks on
-// shared runners are noisy; 1.5x catches order-of-magnitude slips, not
-// scheduler jitter.
-const baselineVariance = 1.5
-
-// loadBaseline reads the newest committed BENCH_*.json other than the
-// current output path. A missing or unreadable baseline is not an
-// error — the first run on a machine has nothing to compare against.
-func loadBaseline(outPath string) *report {
-	names, err := filepath.Glob("BENCH_*.json")
-	if err != nil || len(names) == 0 {
-		return nil
-	}
-	sort.Strings(names) // BENCH_<ISO date>.json sorts chronologically
-	for i := len(names) - 1; i >= 0; i-- {
-		if names[i] == outPath {
-			continue
-		}
-		data, err := os.ReadFile(names[i])
-		if err != nil {
-			continue
-		}
-		var rep report
-		if json.Unmarshal(data, &rep) != nil {
-			continue
-		}
-		fmt.Printf("check: baseline %s (%s, %d CPUs)\n", names[i], rep.Date, rep.NumCPU)
-		return &rep
-	}
-	return nil
-}
-
-// checkBaseline compares the execution-speed rows against the committed
-// snapshot, failing on a > baselineVariance slowdown. Rows are only
-// comparable when the machine shape and workload size match. Snapshots
-// are recorded on shared runners whose absolute speed drifts between
-// days, so each row is judged against the median cur/old ratio across
-// all compared rows: uniform drift moves every row together and
-// cancels out, while a code-caused slip is an outlier against the rest
-// of the suite and still fails. A row over tolerance is re-measured
-// before the verdict: per-row noise on a shared runner is heavy-tailed,
-// and a genuine regression reproduces while a scheduling spike does not.
-func checkBaseline(base *report, cur report, fns map[string]func(*testing.B)) bool {
-	if base == nil {
-		fmt.Println("check: no committed baseline; skipping regression comparison")
-		return true
-	}
-	if base.Short != cur.Short || base.GOARCH != cur.GOARCH || base.NumCPU != cur.NumCPU {
-		fmt.Println("check: baseline machine/workload shape differs; skipping regression comparison")
-		return true
-	}
-	baseNs := map[string]float64{}
-	for _, r := range base.Benchmarks {
-		baseNs[r.Name] = r.NsPerOp
-	}
-	type cmpRow struct {
-		name       string
-		old, nowNs float64
-	}
-	var rows []cmpRow
-	var ratios []float64
-	for _, r := range cur.Benchmarks {
-		old, exists := baseNs[r.Name]
-		if !exists || old == 0 || !strings.HasPrefix(r.Name, "E") && !strings.HasPrefix(r.Name, "Engine_") {
-			continue
-		}
-		if strings.Contains(r.Name, "Compile") {
-			// Compile-bound rows drift across days independently of the
-			// execution rows (allocator/GC pressure vs tight CPU loops),
-			// so cross-snapshot comparison is not sound for them. Their
-			// cost is gated within a single run instead: the
-			// Analysis_Compile with/without ceiling.
-			continue
-		}
-		rows = append(rows, cmpRow{r.Name, old, r.NsPerOp})
-		ratios = append(ratios, r.NsPerOp/old)
-	}
-	if len(rows) == 0 {
-		fmt.Println("check: no comparable baseline rows; skipping regression comparison")
-		return true
-	}
-	sort.Float64s(ratios)
-	drift := ratios[len(ratios)/2]
-	if drift < 1 {
-		drift = 1 // a faster machine is not license for slower rows
-	}
-	fmt.Printf("check: baseline machine-drift factor %.2fx (median over %d rows)\n", drift, len(rows))
-	ok := true
-	for _, r := range rows {
-		allowed := r.old * drift * baselineVariance
-		for try := 0; try < 2 && r.nowNs > allowed && fns[r.name] != nil; try++ {
-			fmt.Printf("check: %s at %.2fx vs baseline; re-measuring\n", r.name, r.nowNs/r.old)
-			if ns := remeasure(fns[r.name]); ns > 0 {
-				r.nowNs = minf(r.nowNs, ns)
-			}
-		}
-		if r.nowNs > allowed {
-			fmt.Fprintf(os.Stderr, "bench: FAIL: %s regressed %.2fx vs baseline (%.0f -> %.0f ns/op, allowed %.1fx at %.2fx drift)\n",
-				r.name, r.nowNs/r.old, r.old, r.nowNs, baselineVariance, drift)
-			ok = false
-		}
-	}
-	if ok {
-		fmt.Printf("check: no execution benchmark regressed more than %.1fx vs drift-adjusted baseline\n", baselineVariance)
-	}
-	return ok
-}
-
-// analysisOverheadCeiling caps how much the analysis layer may slow
-// the full compile pipeline, measured as Analysis_Compile/with vs
-// /without in the same run — a drift-immune compile-cost gate (three
-// whole-program fixpoint passes currently cost ~1.3-1.7x).
-const analysisOverheadCeiling = 2.0
-
-// checkAnalysisOverhead gates the analysis layer's compile-time cost
-// against analysisOverheadCeiling, re-measuring both rows before
-// failing (single samples on a shared runner are noisy).
-func checkAnalysisOverhead(ns map[string]float64, fns map[string]func(*testing.B)) bool {
-	with, without := ns["Analysis_Compile/with"], ns["Analysis_Compile/without"]
-	if with == 0 || without == 0 {
-		fmt.Fprintln(os.Stderr, "bench: -check: missing Analysis_Compile results")
-		return false
-	}
-	ratio := with / without
-	for try := 0; try < 2 && ratio > analysisOverheadCeiling; try++ {
-		fmt.Printf("check: analysis compile overhead %.2fx above %.2fx ceiling; re-measuring\n", ratio, analysisOverheadCeiling)
-		if w, wo := remeasure(fns["Analysis_Compile/with"]), remeasure(fns["Analysis_Compile/without"]); w > 0 && wo > 0 {
-			with = minf(with, w)
-			without = minf(without, wo)
-			ratio = with / without
-		}
-	}
-	fmt.Printf("check: analysis compile overhead %.2fx (ceiling %.2fx)\n", ratio, analysisOverheadCeiling)
-	if ratio > analysisOverheadCeiling {
-		fmt.Fprintf(os.Stderr, "bench: FAIL: analysis layer slows compilation %.2fx (ceiling %.2fx)\n", ratio, analysisOverheadCeiling)
-		return false
-	}
-	return true
-}
-
-// incrementalSpeedupFloor is the minimum cold/edit1 ratio -check
-// requires on the largest generated program: a one-function edit
-// against a warm artifact store must beat a from-scratch compile by at
-// least this factor. Both rows run in the same process, so the gate
-// never depends on cross-snapshot drift.
-const incrementalSpeedupFloor = 5.0
-
-// checkIncremental gates the incremental-compilation win, re-measuring
-// both sides before failing (single samples on a shared runner are
-// noisy). The warm (module-hit) ratio is printed for context but not
-// gated — it is bounded only by hashing and map lookups.
-func checkIncremental(ns map[string]float64, fns map[string]func(*testing.B)) bool {
-	const coldRow, editRow = "CompileIncremental/cold", "CompileIncremental/edit1"
-	cold, edit := ns[coldRow], ns[editRow]
-	if cold == 0 || edit == 0 {
-		fmt.Fprintln(os.Stderr, "bench: -check: missing CompileIncremental results")
-		return false
-	}
-	for try := 0; try < 2 && cold/edit < incrementalSpeedupFloor; try++ {
-		fmt.Printf("check: incremental edit1 speedup %.2fx below %.2fx floor; re-measuring\n", cold/edit, incrementalSpeedupFloor)
-		if c, e := remeasure(fns[coldRow]), remeasure(fns[editRow]); c > 0 && e > 0 {
-			cold, edit = minf(cold, c), minf(edit, e)
-			ns[coldRow], ns[editRow] = cold, edit
-		}
-	}
-	if warm := ns["CompileIncremental/warm"]; warm > 0 {
-		fmt.Printf("check: incremental warm (module-hit) speedup vs cold = %.0fx (informational)\n", cold/warm)
-	}
-	speedup := cold / edit
-	fmt.Printf("check: CompileIncremental edit1 speedup vs cold = %.2fx (need >= %.2fx)\n",
-		speedup, incrementalSpeedupFloor)
-	if speedup < incrementalSpeedupFloor {
-		fmt.Fprintf(os.Stderr, "bench: FAIL: one-function edit below the %.2fx incremental floor\n", incrementalSpeedupFloor)
-		return false
-	}
-	return true
-}
-
-// remeasure re-runs one benchmark row and returns its ns/op (0 if the
-// row produced no iterations).
-func remeasure(fn func(*testing.B)) float64 {
+// measure runs one benchmark row; ok is false when fn is nil or
+// produced no iterations.
+func measure(name string, fn func(*testing.B)) (res result, ok bool) {
 	if fn == nil {
-		return 0
+		return result{}, false
 	}
 	r := testing.Benchmark(fn)
 	if r.N == 0 {
-		return 0
+		return result{}, false
 	}
-	return float64(r.T.Nanoseconds()) / float64(r.N)
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
+	return result{
+		Name:        name,
+		Iterations:  r.N,
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+	}, true
 }

@@ -45,7 +45,6 @@ func run() int {
 		timeout     = fs.Duration("timeout", 15*time.Second, "per-request client timeout")
 		seed        = fs.Int64("seed", 1, "seed for the weighted item choice")
 		kill        = fs.Int("kill", -1, "with -local: kill instance INDEX at T/3 and restart it at 2T/3")
-		hedgeAfter  = fs.Duration("hedge-after", 0, "with -local: fleet hedging threshold (0 disables)")
 		peerTimeout = fs.Duration("peer-timeout", 2*time.Second, "with -local: per-forward-attempt timeout")
 		attempts    = fs.Int("peer-attempts", 3, "with -local: forward attempts before degrading")
 		check       = fs.Bool("check", false, "gate: exit 1 unless non_structured==0 and answered>=99%")
@@ -72,7 +71,6 @@ func run() int {
 		f, err := cluster.StartLocal(*local, serve.Config{}, cluster.Config{
 			PeerTimeout: *peerTimeout,
 			Attempts:    *attempts,
-			HedgeAfter:  *hedgeAfter,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen: start fleet:", err)
@@ -156,8 +154,8 @@ func printReport(res loadgen.Result) {
 	fmt.Printf("mix=%s targets=%d duration=%s\n", res.Mix, res.Targets, res.Duration)
 	fmt.Printf("sent=%d answered=%d (%.2f%%) unanswered=%d failovers=%d\n",
 		res.Sent, res.Answered, 100*res.AnsweredRatio(), res.Unanswered, res.Failovers)
-	fmt.Printf("non_structured=%d mismatches=%d forwarded=%d degraded=%d hedged=%d\n",
-		res.NonStructured, res.Mismatches, res.Forwarded, res.Degraded, res.Hedged)
+	fmt.Printf("non_structured=%d mismatches=%d forwarded=%d degraded=%d\n",
+		res.NonStructured, res.Mismatches, res.Forwarded, res.Degraded)
 	fmt.Printf("latency: p50=%.1fms p90=%.1fms p99=%.1fms max=%.1fms\n",
 		res.P50Ms, res.P90Ms, res.P99Ms, res.MaxMs)
 	fmt.Printf("status: %v\n", res.Status)

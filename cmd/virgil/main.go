@@ -9,7 +9,7 @@
 //	virgil analyze file.v...
 //	virgil profile [-profile-out file] [-profile-in file] file.v...
 //	virgil stats file.v...
-//	virgil serve [-addr host:port] [-engine bytecode|switch] [-max-concurrent n] [-queue n] [-default-timeout d] [-max-timeout d] [-drain-timeout d] [-tier-after n] [-max-request-bytes n] [-peers url,...] [-self url] [-peer-timeout d] [-peer-attempts n] [-hedge-after d]
+//	virgil serve [-addr host:port] [-engine bytecode|switch] [-max-concurrent n] [-queue n] [-default-timeout d] [-max-timeout d] [-drain-timeout d] [-tier-after n] [-max-request-bytes n] [-peers url,...] [-self url] [-peer-timeout d] [-peer-attempts n]
 //
 // run executes the program; check compiles under the selected config
 // without executing; dump prints the IR after the selected pipeline
@@ -26,9 +26,8 @@
 // as an HTTP JSON service (endpoints /compile, /run, /healthz,
 // /stats) until SIGINT/SIGTERM — with -peers it joins a static fleet
 // that routes each program to its consistent-hash owner with retry,
-// per-peer circuit breakers, optional hedging (-hedge-after), and
-// graceful degradation to local execution (see internal/cluster) —
-// then drains in-flight requests and
+// per-peer circuit breakers, and graceful degradation to local
+// execution (see internal/cluster) — then drains in-flight requests and
 // exits. -engine selects the execution engine: bytecode (the default;
 // compiles IR to register bytecode with unboxed scalars and inline
 // caches) or switch (the direct tree-walking interpreter, kept as
@@ -394,7 +393,7 @@ func printStats(stdout, stderr io.Writer, srcs []core.File) int {
 
 func usage(stderr io.Writer) {
 	fmt.Fprintln(stderr, `usage: virgil <command> [-config ref|mono|norm|full] [-engine bytecode|switch] [-analyze=bool] [-verify-ir] [-max-errors n] [-max-steps n] [-max-depth n] [-max-heap n] [-timeout d] [-profile-out file] [-profile-in file] file.v...
-       virgil serve [-addr host:port] [-engine bytecode|switch] [-max-concurrent n] [-queue n] [-default-timeout d] [-max-timeout d] [-drain-timeout d] [-tier-after n] [-max-request-bytes n] [-peers url,...] [-self url] [-peer-timeout d] [-peer-attempts n] [-hedge-after d]
+       virgil serve [-addr host:port] [-engine bytecode|switch] [-max-concurrent n] [-queue n] [-default-timeout d] [-max-timeout d] [-drain-timeout d] [-tier-after n] [-max-request-bytes n] [-peers url,...] [-self url] [-peer-timeout d] [-peer-attempts n]
 
 commands:
   run      compile and execute the program (-profile-out records an execution profile, -profile-in optimizes with one)

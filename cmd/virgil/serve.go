@@ -45,7 +45,6 @@ func serveCmd(argv []string, stdout, stderr io.Writer) int {
 	self := fs.String("self", "", "this instance's own base URL as it appears in -peers (default http://<addr>)")
 	peerTimeout := fs.Duration("peer-timeout", 0, "per-forward-attempt timeout (0 = 2s)")
 	peerAttempts := fs.Int("peer-attempts", 0, "forward attempts before degrading to local execution (0 = 3)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "launch a local hedge when the owner has not answered within this duration (0 disables)")
 	if err := fs.Parse(argv); err != nil {
 		return exitUsage
 	}
@@ -97,7 +96,6 @@ func serveCmd(argv []string, stdout, stderr io.Writer) int {
 			Peers:        peerList,
 			PeerTimeout:  *peerTimeout,
 			Attempts:     *peerAttempts,
-			HedgeAfter:   *hedgeAfter,
 			MaxBodyBytes: *maxRequestBytes,
 		}, s)
 		handler = rt.Handler()

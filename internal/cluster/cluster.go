@@ -19,17 +19,13 @@
 //     program locally would bypass the tenant's quota);
 //   - every other forwarding failure — dial error, peer timeout, 5xx,
 //     open breaker, exhausted retries — degrades gracefully to local
-//     execution, marked degraded:true in the response;
-//   - optional tail-latency hedging: when the owner has not answered
-//     within Config.HedgeAfter, a local execution is launched and the
-//     first result wins (responses marked hedged:true when the local
-//     hedge won).
+//     execution, marked degraded:true in the response.
 //
 // Forwarding is one hop: a forwarded request (marked with the
 // X-Virgil-Forwarded-From header) executes where it lands, even if
 // ring views disagree — no forwarding loops by construction. The
 // executing instance decorates the response with routed /
-// forwarded_from / degraded / hedged; the forwarder streams the
+// forwarded_from / degraded; the forwarder streams the
 // owner's reply through byte-for-byte.
 //
 // The package's failure modes are driven in tests and chaos harnesses
@@ -76,9 +72,6 @@ type Config struct {
 	// Attempts is the total number of forward attempts (first try
 	// included) before degrading to local execution. Default: 3.
 	Attempts int
-	// HedgeAfter launches a local hedge execution when the owner has
-	// not answered within this duration; 0 disables hedging.
-	HedgeAfter time.Duration
 	// MaxBodyBytes bounds one request body at the routing layer; keep
 	// it in sync with the serve tier's limit. Default: 4 MiB.
 	MaxBodyBytes int64
@@ -116,15 +109,13 @@ type Router struct {
 	breakers map[string]*breaker
 	mux      *http.ServeMux
 
-	forwards      atomic.Int64 // requests sent to a peer (attempts, not retries)
-	retries       atomic.Int64 // extra attempts after the first
-	forwardFails  atomic.Int64 // attempts that ended in network error or 5xx
-	degraded      atomic.Int64 // requests that fell back to local execution
-	degradedOK    atomic.Int64 // degraded requests that still answered 2xx
-	received      atomic.Int64 // forwarded requests this instance executed
-	routedLocal   atomic.Int64 // requests this instance owned outright
-	hedgeLaunched atomic.Int64
-	hedgeWins     atomic.Int64
+	forwards     atomic.Int64 // requests sent to a peer (attempts, not retries)
+	retries      atomic.Int64 // extra attempts after the first
+	forwardFails atomic.Int64 // attempts that ended in network error or 5xx
+	degraded     atomic.Int64 // requests that fell back to local execution
+	degradedOK   atomic.Int64 // degraded requests that still answered 2xx
+	received     atomic.Int64 // forwarded requests this instance executed
+	routedLocal  atomic.Int64 // requests this instance owned outright
 }
 
 // New builds the routing tier over local. The peer set is static for
@@ -193,8 +184,6 @@ type Stats struct {
 	PeerDegraded   int64                  `json:"peer_degraded"`
 	PeerDegradedOK int64                  `json:"peer_degraded_ok"`
 	PeerReceived   int64                  `json:"peer_received"`
-	HedgeLaunched  int64                  `json:"hedge_launched"`
-	HedgeWins      int64                  `json:"hedge_wins"`
 	Breakers       map[string]BreakerStat `json:"breaker_state,omitempty"`
 }
 
@@ -210,8 +199,6 @@ func (rt *Router) Snapshot() Stats {
 		PeerDegraded:   rt.degraded.Load(),
 		PeerDegradedOK: rt.degradedOK.Load(),
 		PeerReceived:   rt.received.Load(),
-		HedgeLaunched:  rt.hedgeLaunched.Load(),
-		HedgeWins:      rt.hedgeWins.Load(),
 	}
 	if len(rt.breakers) > 0 {
 		st.Breakers = map[string]BreakerStat{}
@@ -300,91 +287,30 @@ func (rt *Router) runLocal(w http.ResponseWriter, r *http.Request, body []byte, 
 	rec.writeTo(w, mutate)
 }
 
-// forwardOutcome is one terminal state of the forwarding ladder.
-type forwardOutcome struct {
-	rec      *recorder // non-nil: a peer reply to stream through
-	degrade  bool      // true: fall back to local execution
-	hedgeWin bool      // true: the local hedge produced rec
-}
-
 // forward drives the resilience ladder for a request owned by a peer:
-// breaker check, forward with retry/backoff, optional local hedge, and
-// local degradation as the terminal fallback.
+// breaker check, forward with retry/backoff, and local degradation as
+// the terminal fallback.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, owner string, body []byte) {
 	br := rt.breakers[owner]
 	if br == nil || !br.allow() {
 		rt.degradeLocal(w, r, body)
 		return
 	}
-
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-
-	results := make(chan forwardOutcome, 2) // buffered: neither racer blocks
-	go func() {
-		results <- rt.tryForward(ctx, owner, r.URL.Path, body, br)
-	}()
-
-	var hedge <-chan time.Time
-	if rt.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(rt.cfg.HedgeAfter)
-		defer t.Stop()
-		hedge = t.C
-	}
-
-	hedging, remoteFailed := false, false
-	for {
-		select {
-		case out := <-results:
-			if out.degrade {
-				if hedging {
-					// The in-flight hedge doubles as the degraded local
-					// execution — wait for it rather than running twice.
-					remoteFailed = true
-					continue
-				}
-				rt.degradeLocal(w, r, body)
-				return
-			}
-			if out.hedgeWin {
-				rt.hedgeWins.Add(1)
-				if remoteFailed {
-					rt.degraded.Add(1)
-					if out.rec.status < 300 {
-						rt.degradedOK.Add(1)
-					}
-				}
-				out.rec.writeTo(w, func(resp *serve.Response) {
-					resp.Routed = rt.cfg.Self
-					resp.Hedged = true
-					resp.Degraded = remoteFailed
-				})
-				return
-			}
-			out.rec.writeTo(w, nil) // owner already decorated; stream through
-			return
-		case <-hedge:
-			hedge = nil
-			hedging = true
-			rt.hedgeLaunched.Add(1)
-			go func() {
-				rec := runRecorded(rt.local, r.WithContext(ctx), body)
-				if ctx.Err() != nil {
-					return // remote won while we executed; drop the hedge
-				}
-				results <- forwardOutcome{rec: rec, hedgeWin: true}
-			}()
-		case <-r.Context().Done():
-			// Client is gone; nothing left to answer.
-			return
-		}
+	rec := rt.tryForward(r.Context(), owner, r.URL.Path, body, br)
+	switch {
+	case r.Context().Err() != nil:
+		// Client is gone; nothing left to answer.
+	case rec == nil:
+		rt.degradeLocal(w, r, body)
+	default:
+		rec.writeTo(w, nil) // owner already decorated; stream through
 	}
 }
 
 // tryForward attempts the forward up to cfg.Attempts times with capped
 // exponential backoff and full jitter, classifying every outcome for
-// the breaker. It returns either a reply to stream or a degrade order.
-func (rt *Router) tryForward(ctx context.Context, owner, path string, body []byte, br *breaker) forwardOutcome {
+// the breaker. It returns the reply to stream, or nil to degrade.
+func (rt *Router) tryForward(ctx context.Context, owner, path string, body []byte, br *breaker) *recorder {
 	backoff := 50 * time.Millisecond
 	const backoffCap = 500 * time.Millisecond
 	for attempt := 0; attempt < rt.cfg.Attempts; attempt++ {
@@ -392,11 +318,11 @@ func (rt *Router) tryForward(ctx context.Context, owner, path string, body []byt
 			rt.retries.Add(1)
 			// Full jitter: sleep U(0, backoff], then double toward the cap.
 			if !sleepCtx(ctx, time.Duration(rand.Int63n(int64(backoff)))+time.Millisecond) {
-				return forwardOutcome{degrade: true}
+				return nil
 			}
 			backoff = min(2*backoff, backoffCap)
 			if !br.allow() {
-				return forwardOutcome{degrade: true}
+				return nil
 			}
 		}
 		rt.forwards.Add(1)
@@ -405,7 +331,7 @@ func (rt *Router) tryForward(ctx context.Context, owner, path string, body []byt
 			rt.forwardFails.Add(1)
 			br.report(false)
 			if ctx.Err() != nil {
-				return forwardOutcome{degrade: true}
+				return nil
 			}
 			continue
 		}
@@ -421,26 +347,26 @@ func (rt *Router) tryForward(ctx context.Context, owner, path string, body []byt
 			if kind := errorKind(rec.body); kind == "quota" {
 				// Tenant quota rejections pass through verbatim: running
 				// the program locally would bypass the tenant's budget.
-				return forwardOutcome{rec: rec}
+				return rec
 			}
 			// Capacity shed: honor Retry-After when it fits the remaining
 			// budget and attempts remain; otherwise degrade to local.
 			if attempt+1 < rt.cfg.Attempts {
 				if wait, ok := retryAfterFits(ctx, rec.header.Get("Retry-After")); ok {
 					if !sleepCtx(ctx, wait) {
-						return forwardOutcome{degrade: true}
+						return nil
 					}
 					continue
 				}
 			}
-			return forwardOutcome{degrade: true}
+			return nil
 		default:
 			// 2xx and structured 4xx: the owner's answer is the answer.
 			br.report(true)
-			return forwardOutcome{rec: rec}
+			return rec
 		}
 	}
-	return forwardOutcome{degrade: true}
+	return nil
 }
 
 // send performs one forward attempt, bounded by PeerTimeout, crossing

@@ -124,8 +124,8 @@ func TestOwnerRoutingAndForwardDecoration(t *testing.T) {
 		t.Fatalf("routed=%q forwarded_from=%q, want executed at %s forwarded from %s",
 			resp.Routed, resp.ForwardedFrom, owner.URL, sender.URL)
 	}
-	if resp.Degraded || resp.Hedged {
-		t.Fatalf("clean forward marked degraded=%v hedged=%v", resp.Degraded, resp.Hedged)
+	if resp.Degraded {
+		t.Fatal("clean forward marked degraded")
 	}
 	// The owner executed it; the sender only forwarded.
 	if got := owner.Server().Snapshot().Total; got != 1 {
@@ -304,35 +304,44 @@ func TestQuota429PassesThroughVerbatim(t *testing.T) {
 	}
 }
 
-func TestHedgeWinsAgainstStallingPeer(t *testing.T) {
-	// A persistent 400ms stall on every forward send; hedging at 50ms
-	// means the local execution answers long before the remote does.
-	reg, err := faultinject.Parse("peer-stall:delay:0+:400")
+func TestGoneClientSkipsLocalRun(t *testing.T) {
+	// Every forward send stalls 2s; the client gives up after 100ms.
+	// The router must notice the gone client and return without a
+	// degraded local execution.
+	reg, err := faultinject.Parse("peer-stall:delay:0+:2000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Set(reg)()
 
-	f := startFleet(t, 2, serve.Config{},
-		Config{PeerTimeout: 2 * time.Second, Attempts: 1, HedgeAfter: 50 * time.Millisecond})
+	f := startFleet(t, 2, serve.Config{}, Config{PeerTimeout: 5 * time.Second, Attempts: 1})
 	sender := f.Nodes[0]
 	owner := f.Nodes[1]
-	req := progOwnedBy(t, sender.Router().ring, owner.URL)
+	body, err := json.Marshal(progOwnedBy(t, sender.Router().ring, owner.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	start := time.Now()
-	status, resp := post(t, sender.URL+"/run", req)
-	if status != http.StatusOK || !resp.OK || resp.Output == "" {
-		t.Fatalf("status=%d resp=%+v", status, resp)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, sender.URL+"/run", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !resp.Hedged || resp.Routed != sender.URL {
-		t.Fatalf("hedged=%v routed=%q, want a local hedge win", resp.Hedged, resp.Routed)
+	if res, err := http.DefaultClient.Do(req); err == nil {
+		res.Body.Close()
+		t.Fatalf("request answered %d despite a 2s peer stall", res.StatusCode)
 	}
-	if elapsed := time.Since(start); elapsed >= 400*time.Millisecond {
-		t.Fatalf("hedge did not cut the stall: answered in %v", elapsed)
+
+	// Stop waits for the abandoned handler to return. Its stalled send
+	// must have ended as a failure, with no degraded run after it.
+	stopCtx, stopCancel := context.WithTimeout(context.Background(), time.Second)
+	defer stopCancel()
+	if err := sender.Stop(stopCtx); err != nil {
+		t.Fatalf("handler still running after its client left: %v", err)
 	}
-	st := sender.Router().Snapshot()
-	if st.HedgeLaunched == 0 || st.HedgeWins == 0 {
-		t.Fatalf("cluster stats %+v, want hedge counters > 0", st)
+	if st := sender.Router().Snapshot(); st.PeerFailures == 0 || st.PeerDegraded != 0 {
+		t.Fatalf("peer_failures = %d, peer_degraded = %d; want the forward failed and no local run", st.PeerFailures, st.PeerDegraded)
 	}
 }
 

@@ -80,7 +80,6 @@ type Result struct {
 	Kinds     map[string]int64 `json:"kinds,omitempty"`
 	Forwarded int64            `json:"forwarded"`
 	Degraded  int64            `json:"degraded"`
-	Hedged    int64            `json:"hedged"`
 
 	// Latency percentiles over answered requests.
 	P50Ms float64 `json:"p50_ms"`
@@ -187,9 +186,6 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 					if out.degraded {
 						res.Degraded++
 					}
-					if out.hedged {
-						res.Hedged++
-					}
 					latencies = append(latencies, out.latency)
 				}
 				mu.Unlock()
@@ -215,7 +211,6 @@ type outcome struct {
 	kind          string
 	forwarded     bool
 	degraded      bool
-	hedged        bool
 	latency       time.Duration
 	failovers     int64
 	err           string
@@ -281,7 +276,6 @@ func oneRequest(ctx context.Context, client *http.Client, targets []string, firs
 		}
 		out.forwarded = resp.ForwardedFrom != ""
 		out.degraded = resp.Degraded
-		out.hedged = resp.Hedged
 		out.mismatch = classifyMismatch(item, httpRes.StatusCode, resp)
 		if out.mismatch {
 			out.err = fmt.Sprintf("%s: expectation mismatch (status %d ok=%v kind=%s)", item.Name, httpRes.StatusCode, resp.OK, out.kind)

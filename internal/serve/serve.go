@@ -324,14 +324,14 @@ type Stats struct {
 	// function bodies those compiles did not have to rebuild;
 	// IncrementalFallbacks counts compiles that found a base but had to
 	// rebuild from scratch (type-level edit, layout change).
-	IncrementalHits        int64 `json:"incremental_hits"`
-	IncrementalFuncsReused int64 `json:"incremental_funcs_reused"`
-	IncrementalFallbacks   int64 `json:"incremental_fallbacks"`
-	Engine         string `json:"engine"`
-	MaxConcurrent  int    `json:"max_concurrent"`
-	QueueDepth     int    `json:"queue_depth"`
-	FaultsArmed    bool   `json:"faults_armed"`
-	Draining       bool   `json:"draining"`
+	IncrementalHits        int64  `json:"incremental_hits"`
+	IncrementalFuncsReused int64  `json:"incremental_funcs_reused"`
+	IncrementalFallbacks   int64  `json:"incremental_fallbacks"`
+	Engine                 string `json:"engine"`
+	MaxConcurrent          int    `json:"max_concurrent"`
+	QueueDepth             int    `json:"queue_depth"`
+	FaultsArmed            bool   `json:"faults_armed"`
+	Draining               bool   `json:"draining"`
 }
 
 // Snapshot returns the current counters.
@@ -358,13 +358,13 @@ func (s *Server) Snapshot() Stats {
 		IncrementalHits:        s.incrHits.Load(),
 		IncrementalFuncsReused: s.incrFuncsReused.Load(),
 		IncrementalFallbacks:   s.incrFallbacks.Load(),
-		TieredPrograms:  s.cache.tiered(),
-		Tenants:         s.tenants.snapshot(),
-		Engine:          core.Config{Engine: s.cfg.Engine}.EngineKind(),
-		MaxConcurrent:   s.cfg.MaxConcurrent,
-		QueueDepth:      s.cfg.QueueDepth,
-		FaultsArmed:     faultinject.Enabled(),
-		Draining:        s.draining.Load(),
+		TieredPrograms:         s.cache.tiered(),
+		Tenants:                s.tenants.snapshot(),
+		Engine:                 core.Config{Engine: s.cfg.Engine}.EngineKind(),
+		MaxConcurrent:          s.cfg.MaxConcurrent,
+		QueueDepth:             s.cfg.QueueDepth,
+		FaultsArmed:            faultinject.Enabled(),
+		Draining:               s.draining.Load(),
 	}
 	st.QuarantinedPrograms, st.FallbackHashes = s.fallbacks.snapshot()
 	return st
@@ -468,13 +468,10 @@ type Response struct {
 	// request; ForwardedFrom is the instance that forwarded it to its
 	// consistent-hash owner; Degraded reports that forwarding to the
 	// owner failed (network fault, 5xx, open breaker, exhausted budget)
-	// and the result came from a local fallback execution; Hedged
-	// reports that a tail-latency hedge launched against the local
-	// instance finished before the forwarded request did.
+	// and the result came from a local fallback execution.
 	Routed        string `json:"routed,omitempty"`
 	ForwardedFrom string `json:"forwarded_from,omitempty"`
 	Degraded      bool   `json:"degraded,omitempty"`
-	Hedged        bool   `json:"hedged,omitempty"`
 }
 
 // ---- handlers ----
