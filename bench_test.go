@@ -7,20 +7,28 @@
 //	E3: monomorphization vs runtime type arguments (§4.3)
 //	E5: the print1 query-chain folds to a direct call (§3.3)
 //	E6: polymorphic matcher dispatch cost (§3.4)
-//	E7: compile-speed scaling (§5)
+//	E7: compile-speed scaling (§5), and mono plus norm alone
 //
 // Run with: go test -bench=. -benchmem
 package repro
 
 import (
+	"context"
 	"io"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/interp"
+	"repro/internal/lower"
+	"repro/internal/mono"
+	"repro/internal/norm"
+	"repro/internal/parser"
 	"repro/internal/progen"
+	"repro/internal/src"
 	"repro/internal/testprogs"
+	"repro/internal/typecheck"
 )
 
 // benchN is the per-iteration workload size of the Virgil-core hot
@@ -186,6 +194,39 @@ func BenchmarkE7_CompileSpeed(b *testing.B) {
 			linesPerSec := lines * float64(b.N) / b.Elapsed().Seconds()
 			b.ReportMetric(linesPerSec, "lines/sec")
 			b.ReportMetric(lines, "lines")
+		})
+	}
+}
+
+// BenchmarkE7_MonoNorm measures the paper's two implementation
+// techniques on the E7 generated programs: lowering, then
+// monomorphization (§4.3) and normalization (§4.2), which rewrite the
+// bodies they are given. Both consume their input, so every iteration
+// lowers afresh from one checked program; lowering is part of the
+// measured work.
+func BenchmarkE7_MonoNorm(b *testing.B) {
+	for _, k := range []int{1, 4, 16} {
+		source := progen.Generate(progen.Scale(k))
+		errs := &src.ErrorList{}
+		prog := typecheck.Check([]*ast.File{parser.Parse("gen.v", source, errs)}, errs)
+		if !errs.Empty() {
+			b.Fatal(errs)
+		}
+		b.Run(map[int]string{1: "small", 4: "medium", 16: "large"}[k], func(b *testing.B) {
+			b.ReportAllocs()
+			ctx := context.Background()
+			for i := 0; i < b.N; i++ {
+				mod, err := lower.Lower(ctx, prog, 0)
+				if err == nil {
+					mod, _, err = mono.Monomorphize(ctx, mod, mono.Config{})
+				}
+				if err == nil {
+					_, _, err = norm.Normalize(ctx, mod, 0)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

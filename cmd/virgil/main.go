@@ -366,7 +366,7 @@ func printStats(stdout, stderr io.Writer, srcs []core.File) int {
 	fmt.Fprintf(stdout, "  classes:   %d -> %d\n", ms.ClassesBefore, ms.ClassesAfter)
 	fmt.Fprintf(stdout, "  instrs:    %d -> %d (expansion %.2fx)\n", ms.InstrsBefore, ms.InstrsAfter, ms.ExpansionFactor())
 	fmt.Fprintf(stdout, "  top specializations:\n")
-	for i, fe := range ms.PerFunc {
+	for i, fe := range ms.PerFunc() {
 		if i >= 10 || fe.Instances < 2 {
 			break
 		}

@@ -152,10 +152,10 @@ type Reg struct {
 	// ID is dense per function: every register of f has a distinct ID
 	// in [0, f.NumRegs()), so per-function tables (the optimizer's,
 	// the analyses', the bytecode translator's) are slices indexed by
-	// ID rather than maps. Registers therefore come only from f.NewReg,
-	// or from the incremental relinker, which rebuilds them with their
-	// original IDs and then calls f.SetRegCount. Verify rejects an ID
-	// out of range or shared by two registers.
+	// ID rather than maps. Registers therefore come only from f.NewReg
+	// or f.AdoptReg, or from the incremental relinker, which rebuilds
+	// them with their original IDs and then calls f.SetRegCount. Verify
+	// rejects an ID out of range or shared by two registers.
 	ID   int
 	Type types.Type
 	Name string // optional source name, for dumps
@@ -199,9 +199,9 @@ type Block struct {
 	// [0, f.NumBlocks()), so per-function block tables (the
 	// optimizer's reachability marks and predecessor counts, the
 	// analyses' loop search) are slices indexed by ID rather than maps.
-	// Blocks therefore come only from f.NewBlock. Passes that drop
-	// blocks leave holes; IDs are never reused. Verify rejects an ID
-	// out of range or shared by two blocks.
+	// Blocks therefore come only from f.NewBlock or f.AdoptBlocks.
+	// Passes that drop blocks leave holes; IDs are never reused. Verify
+	// rejects an ID out of range or shared by two blocks.
 	ID     int
 	Instrs []*Instr
 }
@@ -260,6 +260,27 @@ func (f *Func) NewReg(t types.Type, name string) *Reg {
 	r := &Reg{ID: f.nextReg, Type: t, Name: name}
 	f.nextReg++
 	return r
+}
+
+// AdoptReg moves r, a register of a body being rewritten into f, into
+// f's register space: it takes the ID NewReg would hand out next. mono
+// and norm transform the bodies they are given instead of copying them,
+// and renumber each kept register at its first use, so IDs come out as
+// a copy would assign them.
+func (f *Func) AdoptReg(r *Reg) {
+	r.ID = f.nextReg
+	f.nextReg++
+}
+
+// AdoptBlocks installs bs, the blocks of a body being rewritten into f,
+// as f's blocks, renumbering their IDs densely in order as NewBlock
+// would. f must have no blocks of its own.
+func (f *Func) AdoptBlocks(bs []*Block) {
+	for i, b := range bs {
+		b.ID = i
+	}
+	f.Blocks = bs
+	f.nextBlock = len(bs)
 }
 
 // NumRegs returns the number of virtual registers allocated in f: the

@@ -188,6 +188,9 @@ func (v *verifier) verifyFunc(f *Func) error {
 			}
 		}
 	}
+	if err := checkOwnership(f); err != nil {
+		return err
+	}
 	if !v.m.Normalized && len(f.Results) != 1 {
 		return fmt.Errorf("want exactly 1 result type before normalization, got %d", len(f.Results))
 	}
@@ -199,6 +202,57 @@ func (v *verifier) verifyFunc(f *Func) error {
 		}
 	}
 	return v.checkDefUse(f)
+}
+
+// listOwner names the holder of an operand list: an instruction's Dst
+// or Args, or (in == nil) the function's Params.
+type listOwner struct {
+	in  *Instr
+	blk *Block
+	dst bool
+}
+
+func (o listOwner) String() string {
+	switch {
+	case o.in == nil:
+		return "params"
+	case o.dst:
+		return fmt.Sprintf("block b%d: %s: dst", o.blk.ID, o.in)
+	}
+	return fmt.Sprintf("block b%d: %s: args", o.blk.ID, o.in)
+}
+
+// checkOwnership requires every Dst and Args list to own its storage,
+// up to its capacity: no list shares a slot with another instruction's
+// list, with the same instruction's other list, or with f.Params.
+// Passes that rewrite a body in place (mono, norm, opt) overwrite and
+// append to these lists, which is safe only under this rule.
+func checkOwnership(f *Func) error {
+	owner := map[**Reg]listOwner{}
+	claim := func(rs []*Reg, o listOwner) error {
+		full := rs[:cap(rs)]
+		for i := range full {
+			if prev, ok := owner[&full[i]]; ok {
+				return fmt.Errorf("%s shares operand storage with %s", o, prev)
+			}
+			owner[&full[i]] = o
+		}
+		return nil
+	}
+	if err := claim(f.Params, listOwner{}); err != nil {
+		return err
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if err := claim(in.Dst, listOwner{in: in, blk: b, dst: true}); err != nil {
+				return err
+			}
+			if err := claim(in.Args, listOwner{in: in, blk: b}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // ------------------------------------------------------ def-before-use

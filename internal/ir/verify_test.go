@@ -313,3 +313,42 @@ func TestVerifyRejectsFieldSlotOutOfRange(t *testing.T) {
 	m := &ir.Module{Types: tc, Funcs: []*ir.Func{f}, Classes: []*ir.Class{cls}}
 	wantVerifyError(t, m, "slot 5 out of range")
 }
+
+// TestVerifyRejectsSharedOperandLists checks operand-list ownership:
+// mono, norm and opt rewrite lists in place, which is safe only while
+// no list shares storage with another list or with the function's
+// Params. Each case shares one way; the last owns every list.
+func TestVerifyRejectsSharedOperandLists(t *testing.T) {
+	tc := types.NewCache()
+	build := func(share string) *ir.Module {
+		f := newFunc("f", tc.Int())
+		f.Params = []*ir.Reg{f.NewReg(tc.Int(), "a"), f.NewReg(tc.Int(), "b")}
+		b := f.NewBlock()
+		x, y := f.NewReg(tc.Int(), ""), f.NewReg(tc.Int(), "")
+		addArgs := []*ir.Reg{f.Params[0], f.Params[1]}
+		subArgs := []*ir.Reg{x, f.Params[1]}
+		xDst, yDst := []*ir.Reg{x}, []*ir.Reg{y}
+		switch share {
+		case "params":
+			addArgs = f.Params
+		case "instrs":
+			yDst = xDst
+			subArgs = []*ir.Reg{y, f.Params[1]}
+		case "tail":
+			// Disjoint in length, but appending to the first list
+			// would overwrite the second.
+			both := []*ir.Reg{x, f.Params[1], f.Params[0], f.Params[1]}
+			subArgs, addArgs = both[:2], both[2:]
+		}
+		emit(b, &ir.Instr{Op: ir.OpAdd, Dst: xDst, Args: addArgs, Type: tc.Int()})
+		emit(b, &ir.Instr{Op: ir.OpSub, Dst: yDst, Args: subArgs, Type: tc.Int()})
+		emit(b, &ir.Instr{Op: ir.OpRet, Args: []*ir.Reg{y}})
+		return &ir.Module{Types: tc, Funcs: []*ir.Func{f}}
+	}
+	wantVerifyError(t, build("params"), "args shares operand storage with params")
+	wantVerifyError(t, build("instrs"), "dst shares operand storage with", "add")
+	wantVerifyError(t, build("tail"), "args shares operand storage with", "sub")
+	if err := build("").Verify(); err != nil {
+		t.Fatalf("Verify rejected owned lists: %v", err)
+	}
+}

@@ -482,7 +482,7 @@ func (lw *Lowerer) unboundWrapper(m *typecheck.FuncSym) *ir.Func {
 		blk := f.NewBlock()
 		call := &ir.Instr{
 			Op:        ir.OpCallVirtual,
-			Args:      f.Params,
+			Args:      append([]*ir.Reg(nil), f.Params...),
 			FieldSlot: m.VtSlot,
 			Type:      self,
 			TypeArgs:  margs,

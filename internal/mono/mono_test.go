@@ -127,9 +127,10 @@ func TestExpansionStats(t *testing.T) {
 		t.Fatal("missing instruction counts")
 	}
 	var listAlloc *FuncExpansion
-	for i := range stats.PerFunc {
-		if stats.PerFunc[i].Name == "List.$alloc" {
-			listAlloc = &stats.PerFunc[i]
+	perFunc := stats.PerFunc()
+	for i := range perFunc {
+		if perFunc[i].Name == "List.$alloc" {
+			listAlloc = &perFunc[i]
 		}
 	}
 	if listAlloc == nil {

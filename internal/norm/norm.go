@@ -14,6 +14,12 @@
 //
 // Normalization requires a monomorphic module: it relies on knowing the
 // closed type of every expression (§4.2, last paragraph).
+//
+// Declarations (globals, classes, signatures) are flattened into a new
+// module, but bodies are rewritten in place: each moves into its
+// normalized function, an instruction that maps to one instruction
+// keeps its Instr, and a register that flattens to one register of its
+// own type keeps its Reg. The input module is consumed.
 package norm
 
 import (
@@ -49,12 +55,16 @@ type normalizer struct {
 	// flat memoizes scalar expansions. Types are interned, so the
 	// pointer is the key. Callers must not mutate returned slices.
 	flat map[types.Type][]types.Type
+
+	body bodyNormalizer
 }
 
-// Normalize flattens all tuples in a monomorphic module, returning a
-// new module. The declaration phases and vtable layout run first, then
-// function bodies are rewritten one at a time in module order.
-// The jobs parameter is ignored.
+// Normalize flattens all tuples in a monomorphic module, returning the
+// normalized module. The declaration phases and vtable layout run
+// first, then function bodies are rewritten one at a time in module
+// order. It consumes mod: each body moves into its normalized function
+// and is rewritten in place, so callers must not read mod's function
+// bodies afterwards. The jobs parameter is ignored.
 // Deprecated: ignored; the pipeline is sequential. Kept only so perfbench builds.
 func Normalize(ctx context.Context, mod *ir.Module, jobs int) (*ir.Module, *Stats, error) {
 	return NormalizeSkip(ctx, mod, nil)
@@ -66,8 +76,32 @@ func Normalize(ctx context.Context, mod *ir.Module, jobs int) (*ir.Module, *Stat
 // in full either way. Incremental compilation uses this to skip bodies
 // it replaces with cached artifacts.
 func NormalizeSkip(ctx context.Context, mod *ir.Module, skip func(name string) bool) (*ir.Module, *Stats, error) {
+	n, err := declare(mod)
+	if err != nil {
+		return nil, nil, err
+	}
+	n.body.n = n
+	for _, f := range mod.Funcs {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		if skip != nil && skip(f.Name) {
+			continue
+		}
+		if err := n.body.normalizeBody(f); err != nil {
+			return nil, nil, err
+		}
+	}
+	n.finish()
+	return n.out, &n.stats, nil
+}
+
+// declare runs the declaration phases: globals, classes and function
+// signatures are flattened into the output module and vtables filled.
+// Bodies are left to the caller.
+func declare(mod *ir.Module) (*normalizer, error) {
 	if !mod.Monomorphic {
-		return nil, nil, fmt.Errorf("norm: module must be monomorphized first (§4.2)")
+		return nil, fmt.Errorf("norm: module must be monomorphized first (§4.2)")
 	}
 	n := &normalizer{
 		in: mod,
@@ -91,24 +125,18 @@ func NormalizeSkip(ctx context.Context, mod *ir.Module, skip func(name string) b
 	n.declareClasses()
 	n.declareFuncs()
 	n.fillVtables()
-	for _, f := range mod.Funcs {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		if skip != nil && skip(f.Name) {
-			continue
-		}
-		if err := n.normalizeBody(f); err != nil {
-			return nil, nil, err
-		}
+	return n, nil
+}
+
+// finish points the output module's entry functions at their
+// normalized versions.
+func (n *normalizer) finish() {
+	if n.in.Init != nil {
+		n.out.Init = n.funcMap[n.in.Init]
 	}
-	if mod.Init != nil {
-		n.out.Init = n.funcMap[mod.Init]
+	if n.in.Main != nil {
+		n.out.Main = n.funcMap[n.in.Main]
 	}
-	if mod.Main != nil {
-		n.out.Main = n.funcMap[mod.Main]
-	}
-	return n.out, &n.stats, nil
 }
 
 // flatten returns the scalar expansion of t, memoized per module.
@@ -190,10 +218,23 @@ func (n *normalizer) declareFuncs() {
 		if f.Class != nil {
 			nf.Class = n.classMap[f.Class]
 		}
+		np := 0
+		for _, p := range f.Params {
+			np += len(n.flatten(p.Type))
+		}
+		nf.Params = make([]*ir.Reg, 0, np)
 		for _, p := range f.Params {
 			parts := n.flatten(p.Type)
 			if len(parts) != 1 {
 				n.stats.ParamsSplit++
+			}
+			if len(parts) == 1 && parts[0] == p.Type {
+				// A kept register, as in a body: the parameter stays,
+				// renumbered into nf. normalizeBody recognizes it by
+				// identity.
+				nf.AdoptReg(p)
+				nf.Params = append(nf.Params, p)
+				continue
 			}
 			for k, pt := range parts {
 				name := p.Name
@@ -223,81 +264,206 @@ func (n *normalizer) fillVtables() {
 	}
 }
 
-// bodyNormalizer rewrites one function body.
+// bodyNormalizer rewrites function bodies in place. One serves every
+// body of a module, so its tables are allocated once per module.
 type bodyNormalizer struct {
-	n      *normalizer
-	f      *ir.Func // source
-	nf     *ir.Func // destination
-	regMap map[*ir.Reg][]*ir.Reg
-	blkMap map[*ir.Block]*ir.Block
-	cur    *ir.Block
-	// pos is the source position of the instruction being normalized;
-	// emit stamps it so flattened code keeps source-level traces.
-	pos src.Pos
+	n  *normalizer
+	nf *ir.Func // destination of the body being rewritten
+	// in is the source instruction being normalized. The first
+	// instruction it expands to reuses its object and, where they fit,
+	// its operand lists; pos is its source position, which every
+	// instruction it expands to carries, so flattened code keeps
+	// source-level traces.
+	in   *ir.Instr
+	used bool
+	pos  src.Pos
+
+	// seen[id] == r marks r as a kept register: it flattens to one
+	// register of its own type, so it stays, renumbered into nf at its
+	// first use. A register not yet renumbered still carries its
+	// source ID, under which seen holds some other register or nothing.
+	seen []*ir.Reg
+	// parts[id], when its gen is the current body's, locates in arena
+	// the fresh registers replacing the source register with that ID
+	// (a parameter, or a tuple-typed, void or retyped register). Such a
+	// register is never renumbered, so its source ID stays its key.
+	parts []partsRef
+	arena []*ir.Reg
+	gen   int32
+	// dbuf and abuf hold the concatenated parts of an instruction's
+	// Dst and Args lists while it is normalized.
+	dbuf, abuf []*ir.Reg
+
+	// The current block: src is its instruction slice as it was, k the
+	// number of instructions emitted so far, and out its rebuilt slice,
+	// made at the first expansion or deletion.
+	src []*ir.Instr
+	k   int
+	out []*ir.Instr
 }
 
-func (n *normalizer) normalizeBody(f *ir.Func) error {
-	nf := n.funcMap[f]
-	b := &bodyNormalizer{n: n, f: f, nf: nf, regMap: map[*ir.Reg][]*ir.Reg{}, blkMap: map[*ir.Block]*ir.Block{}}
-	// Parameter registers map to the already-created flattened params.
+// partsRef is a span of bodyNormalizer.arena.
+type partsRef struct {
+	gen    int32
+	off, n int32
+}
+
+// normalizeBody moves f's body into its normalized function and
+// rewrites it in place. Registers and blocks come out numbered exactly
+// as a copy would number them: parameters first, then each register at
+// its first use in walk order. f is left without a body.
+func (b *bodyNormalizer) normalizeBody(f *ir.Func) error {
+	nf := b.n.funcMap[f]
+	b.nf = nf
+	b.gen++
+	b.arena = b.arena[:0]
+	// Parameters map to nf's flattened parameters: a kept one is its
+	// own flattening, already renumbered by declareFuncs; any other
+	// still has its source ID and maps to the parameters made for it.
 	idx := 0
 	for _, p := range f.Params {
-		cnt := len(n.flatten(p.Type))
-		b.regMap[p] = nf.Params[idx : idx+cnt]
+		cnt := len(b.n.flatten(p.Type))
+		if cnt == 1 && nf.Params[idx] == p {
+			b.keep(p)
+		} else {
+			off := len(b.arena)
+			b.arena = append(b.arena, nf.Params[idx:idx+cnt]...)
+			b.setRef(p.ID, off)
+		}
 		idx += cnt
 	}
-	for _, blk := range f.Blocks {
-		b.blkMap[blk] = nf.NewBlock()
-	}
-	for _, blk := range f.Blocks {
-		b.cur = b.blkMap[blk]
-		for _, in := range blk.Instrs {
+	nf.AdoptBlocks(f.Blocks)
+	f.Blocks = nil
+	for _, blk := range nf.Blocks {
+		b.src, b.k, b.out = blk.Instrs, 0, nil
+		for _, in := range b.src {
+			b.in, b.used, b.pos = in, false, in.Pos
 			if err := b.instr(in); err != nil {
 				return fmt.Errorf("%s: %w", f.Name, err)
 			}
 		}
+		if b.out != nil {
+			blk.Instrs = b.out
+		} else {
+			blk.Instrs = b.src[:b.k]
+		}
 	}
+	b.src, b.out, b.in = nil, nil, nil
 	return nil
 }
 
-// regs returns the flattened registers for a source register, creating
-// them on first use. The result is a fresh slice: instruction Dst and
-// Args lists must never alias each other, or later passes rewriting one
-// would corrupt the other.
-func (b *bodyNormalizer) regs(r *ir.Reg) []*ir.Reg {
-	rs, ok := b.regMap[r]
-	if !ok {
-		parts := b.n.flatten(r.Type)
-		rs = make([]*ir.Reg, len(parts))
-		for i, pt := range parts {
-			name := r.Name
-			if len(parts) > 1 {
-				name = fmt.Sprintf("%s.%d", r.Name, i)
-			}
-			rs[i] = b.nf.NewReg(pt, name)
-		}
-		b.regMap[r] = rs
+// setRef records arena[off:] as the parts of the source register with
+// ID id.
+func (b *bodyNormalizer) setRef(id, off int) {
+	for len(b.parts) <= id {
+		b.parts = append(b.parts, partsRef{})
 	}
-	out := make([]*ir.Reg, len(rs))
-	copy(out, rs)
-	return out
+	b.parts[id] = partsRef{gen: b.gen, off: int32(off), n: int32(len(b.arena) - off)}
 }
 
-// flatArgs concatenates the flattened registers of several source regs.
-func (b *bodyNormalizer) flatArgs(args []*ir.Reg) []*ir.Reg {
-	var out []*ir.Reg
+// regs returns the flattened registers for a source register, keeping
+// or creating them on first use. The result is a view into the
+// normalizer's tables: callers read it, and put copies it into the
+// instruction lists it builds, so no list aliases another.
+func (b *bodyNormalizer) regs(r *ir.Reg) []*ir.Reg {
+	id := r.ID
+	if id < len(b.seen) && b.seen[id] == r {
+		return b.seen[id : id+1 : id+1]
+	}
+	if id < len(b.parts) && b.parts[id].gen == b.gen {
+		p := b.parts[id]
+		return b.arena[p.off : p.off+p.n : p.off+p.n]
+	}
+	parts := b.n.flatten(r.Type)
+	if len(parts) == 1 && parts[0] == r.Type {
+		b.nf.AdoptReg(r)
+		return b.keep(r)
+	}
+	off := len(b.arena)
+	for i, pt := range parts {
+		name := r.Name
+		if len(parts) > 1 {
+			name = fmt.Sprintf("%s.%d", r.Name, i)
+		}
+		b.arena = append(b.arena, b.nf.NewReg(pt, name))
+	}
+	b.setRef(id, off)
+	return b.arena[off:len(b.arena):len(b.arena)]
+}
+
+// keep marks r, already renumbered into nf, as a kept register and
+// returns its one-register flattening.
+func (b *bodyNormalizer) keep(r *ir.Reg) []*ir.Reg {
+	id := r.ID
+	for len(b.seen) <= id {
+		b.seen = append(b.seen, nil)
+	}
+	b.seen[id] = r
+	return b.seen[id : id+1 : id+1]
+}
+
+// flatArgs concatenates the flattened registers of several source regs
+// into buf, looking them up in order.
+func (b *bodyNormalizer) flatArgs(buf *[]*ir.Reg, args []*ir.Reg) []*ir.Reg {
+	out := (*buf)[:0]
 	for _, a := range args {
 		out = append(out, b.regs(a)...)
 	}
+	*buf = out
 	return out
 }
 
-func (b *bodyNormalizer) emit(in *ir.Instr) {
-	if !in.Pos.IsValid() {
-		in.Pos = b.pos
+// put emits the instruction tmpl with operand lists holding dst and
+// args. The first instruction a source instruction expands to is the
+// source instruction itself, rewritten, with its lists' storage reused
+// where the new lists fit; any further one is new.
+func (b *bodyNormalizer) put(tmpl ir.Instr, dst, args []*ir.Reg) {
+	in := b.in
+	if b.used {
+		in = &ir.Instr{}
+		*in = tmpl
+		in.Dst, in.Args = own(nil, dst), own(nil, args)
+	} else {
+		b.used = true
+		oldDst, oldArgs := in.Dst, in.Args
+		*in = tmpl
+		in.Dst, in.Args = own(oldDst, dst), own(oldArgs, args)
 	}
-	b.cur.Instrs = append(b.cur.Instrs, in)
+	in.Pos = b.pos
+	b.emit(in)
 }
+
+// own returns a list holding rs, in old's storage when rs fits. old
+// belongs to the instruction being rewritten, and rs never points into
+// an instruction's list, so the copy cannot clobber its own input.
+func own(old, rs []*ir.Reg) []*ir.Reg {
+	if len(rs) == 0 {
+		return nil
+	}
+	if cap(old) < len(rs) {
+		old = make([]*ir.Reg, len(rs))
+	}
+	old = old[:len(rs)]
+	copy(old, rs)
+	return old
+}
+
+// emit appends in to the current block. While the output matches the
+// block's instructions one for one, it only advances; at the first
+// difference it rebuilds the block's slice from there on.
+func (b *bodyNormalizer) emit(in *ir.Instr) {
+	if b.out == nil {
+		if b.k < len(b.src) && b.src[b.k] == in {
+			b.k++
+			return
+		}
+		b.out = append(make([]*ir.Instr, 0, len(b.src)+8), b.src[:b.k]...)
+	}
+	b.out = append(b.out, in)
+}
+
+// one is a one-register list for put.
+func one(r *ir.Reg) []*ir.Reg { return []*ir.Reg{r} }
 
 // moveAll emits pairwise moves from src to dst registers.
 func (b *bodyNormalizer) moveAll(dst, src []*ir.Reg) error {
@@ -305,7 +471,7 @@ func (b *bodyNormalizer) moveAll(dst, src []*ir.Reg) error {
 		return fmt.Errorf("norm: move shape mismatch: %d vs %d", len(dst), len(src))
 	}
 	for i := range dst {
-		b.emit(&ir.Instr{Op: ir.OpMove, Dst: []*ir.Reg{dst[i]}, Args: []*ir.Reg{src[i]}})
+		b.put(ir.Instr{Op: ir.OpMove}, dst[i:i+1], src[i:i+1])
 	}
 	return nil
 }
@@ -327,38 +493,43 @@ func (b *bodyNormalizer) tupleOffsets(t types.Type, idx int) (int, int, error) {
 	return off, len(b.n.flatten(tt.Elems[idx])), nil
 }
 
+// instr normalizes one instruction. The order in which a case looks
+// registers up is part of its output, since first uses fix register
+// numbering: the destination comes before the operands unless noted.
 func (b *bodyNormalizer) instr(in *ir.Instr) error {
-	b.pos = in.Pos
 	switch in.Op {
 	case ir.OpNop:
 		return nil
 	case ir.OpConstInt, ir.OpConstByte, ir.OpConstBool, ir.OpConstString:
-		b.emit(&ir.Instr{Op: in.Op, Dst: b.regs(in.Dst[0]), IVal: in.IVal, SVal: in.SVal})
+		b.put(ir.Instr{Op: in.Op, IVal: in.IVal, SVal: in.SVal}, b.regs(in.Dst[0]), nil)
 		return nil
 	case ir.OpConstVoid:
 		b.regs(in.Dst[0]) // expands to no registers
 		return nil
 	case ir.OpConstEnum:
-		b.emit(&ir.Instr{Op: in.Op, Dst: b.regs(in.Dst[0]), IVal: in.IVal, Type: in.Type})
+		b.put(ir.Instr{Op: in.Op, IVal: in.IVal, Type: in.Type}, b.regs(in.Dst[0]), nil)
 		return nil
 	case ir.OpEnumTag, ir.OpEnumName:
-		b.emit(&ir.Instr{Op: in.Op, Dst: b.regs(in.Dst[0]), Args: b.flatArgs(in.Args)})
+		dst := b.regs(in.Dst[0])
+		b.put(ir.Instr{Op: in.Op}, dst, b.flatArgs(&b.abuf, in.Args))
 		return nil
 	case ir.OpConstNull:
 		dst := b.regs(in.Dst[0])
 		if len(dst) == 1 {
-			b.emit(&ir.Instr{Op: ir.OpConstNull, Dst: dst, Type: in.Type})
+			b.put(ir.Instr{Op: ir.OpConstNull, Type: in.Type}, dst, nil)
 		} else if len(dst) != 0 {
 			return fmt.Errorf("norm: const.null of non-scalar type %s", in.Type)
 		}
 		return nil
 	case ir.OpMove:
-		return b.moveAll(b.regs(in.Dst[0]), b.regs(in.Args[0]))
+		dst := b.regs(in.Dst[0])
+		return b.moveAll(dst, b.regs(in.Args[0]))
 
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMod, ir.OpShl,
 		ir.OpShr, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpNeg, ir.OpNot,
 		ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe, ir.OpBoolAnd, ir.OpBoolOr:
-		b.emit(&ir.Instr{Op: in.Op, Dst: b.regs(in.Dst[0]), Args: b.flatArgs(in.Args), Type: in.Type})
+		dst := b.regs(in.Dst[0])
+		b.put(ir.Instr{Op: in.Op, Type: in.Type}, dst, b.flatArgs(&b.abuf, in.Args))
 		return nil
 
 	case ir.OpEq, ir.OpNe:
@@ -367,8 +538,10 @@ func (b *bodyNormalizer) instr(in *ir.Instr) error {
 	case ir.OpMakeTuple:
 		// (§4.2 q1'): the tuple's registers are its elements' registers.
 		b.n.stats.TuplesEliminated++
-		return b.moveAll(b.regs(in.Dst[0]), b.flatArgs(in.Args))
+		dst := b.regs(in.Dst[0])
+		return b.moveAll(dst, b.flatArgs(&b.abuf, in.Args))
 	case ir.OpTupleGet:
+		// Operand before destination.
 		src := b.regs(in.Args[0])
 		off, width, err := b.tupleOffsets(in.Args[0].Type, in.FieldSlot)
 		if err != nil {
@@ -377,12 +550,12 @@ func (b *bodyNormalizer) instr(in *ir.Instr) error {
 		return b.moveAll(b.regs(in.Dst[0]), src[off:off+width])
 
 	case ir.OpNewObject:
-		b.emit(&ir.Instr{Op: ir.OpNewObject, Dst: b.regs(in.Dst[0]), Type: in.Type})
+		b.put(ir.Instr{Op: ir.OpNewObject, Type: in.Type}, b.regs(in.Dst[0]), nil)
 		return nil
 	case ir.OpFieldLoad, ir.OpFieldStore:
 		return b.fieldAccess(in)
 	case ir.OpNullCheck:
-		b.emit(&ir.Instr{Op: ir.OpNullCheck, Args: b.regs(in.Args[0])})
+		b.put(ir.Instr{Op: ir.OpNullCheck}, nil, b.regs(in.Args[0]))
 		return nil
 
 	case ir.OpArrayNew:
@@ -392,24 +565,25 @@ func (b *bodyNormalizer) instr(in *ir.Instr) error {
 		lenReg := b.regs(in.Args[0])
 		if len(parts) == 0 {
 			// Array<void>: a single length-only array (§4.2).
-			b.emit(&ir.Instr{Op: ir.OpArrayNew, Dst: dst, Args: lenReg, Type: at})
+			b.put(ir.Instr{Op: ir.OpArrayNew, Type: at}, dst, lenReg)
 			return nil
 		}
 		for k, pt := range parts {
-			b.emit(&ir.Instr{Op: ir.OpArrayNew, Dst: []*ir.Reg{dst[k]}, Args: lenReg, Type: b.n.tc.ArrayOf(pt)})
+			b.put(ir.Instr{Op: ir.OpArrayNew, Type: b.n.tc.ArrayOf(pt)}, dst[k:k+1], lenReg)
 		}
 		return nil
 	case ir.OpArrayLoad:
+		// Operands before destination.
 		arrs := b.regs(in.Args[0])
 		idx := b.regs(in.Args[1])
 		dst := b.regs(in.Dst[0])
 		if len(dst) == 0 {
 			// Void element: the access is still bounds-checked (§4.2).
-			b.emit(&ir.Instr{Op: ir.OpArrayLoad, Args: []*ir.Reg{arrs[0], idx[0]}})
+			b.put(ir.Instr{Op: ir.OpArrayLoad}, nil, []*ir.Reg{arrs[0], idx[0]})
 			return nil
 		}
 		for k := range dst {
-			b.emit(&ir.Instr{Op: ir.OpArrayLoad, Dst: []*ir.Reg{dst[k]}, Args: []*ir.Reg{arrs[k], idx[0]}})
+			b.put(ir.Instr{Op: ir.OpArrayLoad}, dst[k:k+1], []*ir.Reg{arrs[k], idx[0]})
 		}
 		return nil
 	case ir.OpArrayStore:
@@ -417,71 +591,57 @@ func (b *bodyNormalizer) instr(in *ir.Instr) error {
 		idx := b.regs(in.Args[1])
 		vals := b.regs(in.Args[2])
 		if len(vals) == 0 {
-			b.emit(&ir.Instr{Op: ir.OpArrayLoad, Args: []*ir.Reg{arrs[0], idx[0]}})
+			b.put(ir.Instr{Op: ir.OpArrayLoad}, nil, []*ir.Reg{arrs[0], idx[0]})
 			return nil
 		}
 		for k := range vals {
-			b.emit(&ir.Instr{Op: ir.OpArrayStore, Args: []*ir.Reg{arrs[k], idx[0], vals[k]}})
+			b.put(ir.Instr{Op: ir.OpArrayStore}, nil, []*ir.Reg{arrs[k], idx[0], vals[k]})
 		}
 		return nil
 	case ir.OpArrayLen:
+		// Operand before destination.
 		arrs := b.regs(in.Args[0])
-		b.emit(&ir.Instr{Op: ir.OpArrayLen, Dst: b.regs(in.Dst[0]), Args: []*ir.Reg{arrs[0]}})
+		b.put(ir.Instr{Op: ir.OpArrayLen}, b.regs(in.Dst[0]), arrs[:1])
 		return nil
 
 	case ir.OpGlobalLoad:
 		ngs := b.n.globalMap[in.Global]
 		dst := b.regs(in.Dst[0])
 		for k, g := range ngs {
-			b.emit(&ir.Instr{Op: ir.OpGlobalLoad, Dst: []*ir.Reg{dst[k]}, Global: g})
+			b.put(ir.Instr{Op: ir.OpGlobalLoad, Global: g}, dst[k:k+1], nil)
 		}
 		return nil
 	case ir.OpGlobalStore:
 		ngs := b.n.globalMap[in.Global]
 		vals := b.regs(in.Args[0])
 		for k, g := range ngs {
-			b.emit(&ir.Instr{Op: ir.OpGlobalStore, Global: g, Args: []*ir.Reg{vals[k]}})
+			b.put(ir.Instr{Op: ir.OpGlobalStore, Global: g}, nil, vals[k:k+1])
 		}
 		return nil
 
 	case ir.OpCallStatic:
-		var dst []*ir.Reg
-		for _, d := range in.Dst {
-			dst = append(dst, b.regs(d)...)
-		}
-		b.emit(&ir.Instr{Op: ir.OpCallStatic, Dst: dst, Fn: b.n.funcMap[in.Fn], Args: b.flatArgs(in.Args)})
+		dst := b.flatArgs(&b.dbuf, in.Dst)
+		b.put(ir.Instr{Op: ir.OpCallStatic, Fn: b.n.funcMap[in.Fn]}, dst, b.flatArgs(&b.abuf, in.Args))
 		return nil
 	case ir.OpCallVirtual:
-		var dst []*ir.Reg
-		for _, d := range in.Dst {
-			dst = append(dst, b.regs(d)...)
-		}
-		recv := b.regs(in.Args[0])
-		args := append(append([]*ir.Reg{}, recv...), b.flatArgs(in.Args[1:])...)
-		b.emit(&ir.Instr{Op: ir.OpCallVirtual, Dst: dst, Args: args, FieldSlot: in.FieldSlot, Type: in.Type})
+		dst := b.flatArgs(&b.dbuf, in.Dst)
+		b.put(ir.Instr{Op: ir.OpCallVirtual, FieldSlot: in.FieldSlot, Type: in.Type}, dst, b.flatArgs(&b.abuf, in.Args))
 		return nil
 	case ir.OpCallIndirect:
-		var dst []*ir.Reg
-		for _, d := range in.Dst {
-			dst = append(dst, b.regs(d)...)
-		}
-		cl := b.regs(in.Args[0])
-		args := append(append([]*ir.Reg{}, cl...), b.flatArgs(in.Args[1:])...)
-		b.emit(&ir.Instr{Op: ir.OpCallIndirect, Dst: dst, Args: args})
+		dst := b.flatArgs(&b.dbuf, in.Dst)
+		b.put(ir.Instr{Op: ir.OpCallIndirect}, dst, b.flatArgs(&b.abuf, in.Args))
 		return nil
 	case ir.OpCallBuiltin:
-		var dst []*ir.Reg
-		for _, d := range in.Dst {
-			dst = append(dst, b.regs(d)...)
-		}
-		b.emit(&ir.Instr{Op: ir.OpCallBuiltin, Dst: dst, SVal: in.SVal, Args: b.flatArgs(in.Args)})
+		dst := b.flatArgs(&b.dbuf, in.Dst)
+		b.put(ir.Instr{Op: ir.OpCallBuiltin, SVal: in.SVal}, dst, b.flatArgs(&b.abuf, in.Args))
 		return nil
 
 	case ir.OpMakeClosure:
-		b.emit(&ir.Instr{Op: ir.OpMakeClosure, Dst: b.regs(in.Dst[0]), Fn: b.n.funcMap[in.Fn], Type2: in.Type2})
+		b.put(ir.Instr{Op: ir.OpMakeClosure, Fn: b.n.funcMap[in.Fn], Type2: in.Type2}, b.regs(in.Dst[0]), nil)
 		return nil
 	case ir.OpMakeBound:
-		b.emit(&ir.Instr{Op: ir.OpMakeBound, Dst: b.regs(in.Dst[0]), Args: b.regs(in.Args[0]), FieldSlot: in.FieldSlot, Type: in.Type, Type2: in.Type2})
+		dst := b.regs(in.Dst[0])
+		b.put(ir.Instr{Op: ir.OpMakeBound, FieldSlot: in.FieldSlot, Type: in.Type, Type2: in.Type2}, dst, b.regs(in.Args[0]))
 		return nil
 
 	case ir.OpTypeCast:
@@ -490,16 +650,17 @@ func (b *bodyNormalizer) instr(in *ir.Instr) error {
 		return b.query(in)
 
 	case ir.OpRet:
-		b.emit(&ir.Instr{Op: ir.OpRet, Args: b.flatArgs(in.Args)})
+		b.put(ir.Instr{Op: ir.OpRet}, nil, b.flatArgs(&b.abuf, in.Args))
 		return nil
 	case ir.OpJump:
-		b.emit(&ir.Instr{Op: ir.OpJump, Blocks: []*ir.Block{b.blkMap[in.Blocks[0]]}})
+		// Branch targets are the moved blocks themselves.
+		b.put(ir.Instr{Op: ir.OpJump, Blocks: in.Blocks}, nil, nil)
 		return nil
 	case ir.OpBranch:
-		b.emit(&ir.Instr{Op: ir.OpBranch, Args: b.regs(in.Args[0]), Blocks: []*ir.Block{b.blkMap[in.Blocks[0]], b.blkMap[in.Blocks[1]]}})
+		b.put(ir.Instr{Op: ir.OpBranch, Blocks: in.Blocks}, nil, b.regs(in.Args[0]))
 		return nil
 	case ir.OpThrow:
-		b.emit(&ir.Instr{Op: ir.OpThrow, SVal: in.SVal})
+		b.put(ir.Instr{Op: ir.OpThrow, SVal: in.SVal}, nil, nil)
 		return nil
 	}
 	return fmt.Errorf("norm: unhandled op %s", in.Op)
@@ -521,28 +682,29 @@ func (b *bodyNormalizer) fieldAccess(in *ir.Instr) error {
 	obj := b.regs(in.Args[0])
 	if count == 0 {
 		// Void field: the access reduces to a null check (§4.2).
-		b.emit(&ir.Instr{Op: ir.OpNullCheck, Args: obj})
 		if in.Op == ir.OpFieldLoad {
-			b.regs(in.Dst[0])
+			b.regs(in.Dst[0]) // expands to no registers
 		}
+		b.put(ir.Instr{Op: ir.OpNullCheck}, nil, obj)
 		return nil
 	}
 	if in.Op == ir.OpFieldLoad {
 		dst := b.regs(in.Dst[0])
 		for k := 0; k < count; k++ {
-			b.emit(&ir.Instr{Op: ir.OpFieldLoad, Dst: []*ir.Reg{dst[k]}, Args: obj, FieldSlot: start + k})
+			b.put(ir.Instr{Op: ir.OpFieldLoad, FieldSlot: start + k}, dst[k:k+1], obj)
 		}
 		return nil
 	}
 	vals := b.regs(in.Args[1])
 	for k := 0; k < count; k++ {
-		b.emit(&ir.Instr{Op: ir.OpFieldStore, Args: []*ir.Reg{obj[0], vals[k]}, FieldSlot: start + k})
+		b.put(ir.Instr{Op: ir.OpFieldStore, FieldSlot: start + k}, nil, []*ir.Reg{obj[0], vals[k]})
 	}
 	return nil
 }
 
 // equality expands tuple equality into elementwise comparisons combined
-// with boolean operators (§2.3's recursive equality).
+// with boolean operators (§2.3's recursive equality). Operands before
+// destination.
 func (b *bodyNormalizer) equality(in *ir.Instr) error {
 	l := b.regs(in.Args[0])
 	r := b.regs(in.Args[1])
@@ -556,23 +718,23 @@ func (b *bodyNormalizer) equality(in *ir.Instr) error {
 	}
 	if len(l) == 0 {
 		// void == void is always true; void != void always false.
-		b.emit(&ir.Instr{Op: ir.OpConstBool, Dst: dst, IVal: boolVal(in.Op == ir.OpEq)})
+		b.put(ir.Instr{Op: ir.OpConstBool, IVal: boolVal(in.Op == ir.OpEq)}, dst, nil)
 		return nil
 	}
 	if len(l) == 1 {
-		b.emit(&ir.Instr{Op: eqOp, Dst: dst, Args: []*ir.Reg{l[0], r[0]}})
+		b.put(ir.Instr{Op: eqOp}, dst, []*ir.Reg{l[0], r[0]})
 		return nil
 	}
 	acc := b.nf.NewReg(b.n.tc.Bool(), "")
-	b.emit(&ir.Instr{Op: eqOp, Dst: []*ir.Reg{acc}, Args: []*ir.Reg{l[0], r[0]}})
+	b.put(ir.Instr{Op: eqOp}, one(acc), []*ir.Reg{l[0], r[0]})
 	for k := 1; k < len(l); k++ {
 		t := b.nf.NewReg(b.n.tc.Bool(), "")
-		b.emit(&ir.Instr{Op: eqOp, Dst: []*ir.Reg{t}, Args: []*ir.Reg{l[k], r[k]}})
+		b.put(ir.Instr{Op: eqOp}, one(t), []*ir.Reg{l[k], r[k]})
 		nacc := b.nf.NewReg(b.n.tc.Bool(), "")
-		b.emit(&ir.Instr{Op: combine, Dst: []*ir.Reg{nacc}, Args: []*ir.Reg{acc, t}})
+		b.put(ir.Instr{Op: combine}, one(nacc), []*ir.Reg{acc, t})
 		acc = nacc
 	}
-	b.emit(&ir.Instr{Op: ir.OpMove, Dst: dst, Args: []*ir.Reg{acc}})
+	b.put(ir.Instr{Op: ir.OpMove}, dst, one(acc))
 	return nil
 }
 
@@ -584,7 +746,8 @@ func boolVal(b bool) int64 {
 }
 
 // cast expands a tuple cast elementwise (§2.3); scalar casts pass
-// through. A cast whose shapes cannot match throws at runtime.
+// through. A cast whose shapes cannot match throws at runtime. Operand
+// before destination.
 func (b *bodyNormalizer) cast(in *ir.Instr) error {
 	src := b.regs(in.Args[0])
 	dst := b.regs(in.Dst[0])
@@ -609,7 +772,7 @@ func (b *bodyNormalizer) castParts(from, to types.Type, src, dst []*ir.Reg) erro
 		return nil
 	case fok != tok || (fok && tok && len(ft.Elems) != len(tt.Elems)):
 		// Statically impossible tuple-shape cast: always throws.
-		b.emit(&ir.Instr{Op: ir.OpThrow, SVal: "!TypeCheckException"})
+		b.put(ir.Instr{Op: ir.OpThrow, SVal: "!TypeCheckException"}, nil, nil)
 		return nil
 	}
 	// Scalar (possibly void) cast.
@@ -617,14 +780,15 @@ func (b *bodyNormalizer) castParts(from, to types.Type, src, dst []*ir.Reg) erro
 		return nil // void cast to void
 	}
 	if len(dst) != 1 || len(src) != 1 {
-		b.emit(&ir.Instr{Op: ir.OpThrow, SVal: "!TypeCheckException"})
+		b.put(ir.Instr{Op: ir.OpThrow, SVal: "!TypeCheckException"}, nil, nil)
 		return nil
 	}
-	b.emit(&ir.Instr{Op: ir.OpTypeCast, Dst: dst, Args: src, Type: to, Type2: from})
+	b.put(ir.Instr{Op: ir.OpTypeCast, Type: to, Type2: from}, dst, src)
 	return nil
 }
 
 // query expands a tuple query elementwise, combining with boolean and.
+// Operand before destination.
 func (b *bodyNormalizer) query(in *ir.Instr) error {
 	src := b.regs(in.Args[0])
 	dst := b.regs(in.Dst[0])
@@ -632,7 +796,7 @@ func (b *bodyNormalizer) query(in *ir.Instr) error {
 	if err != nil {
 		return err
 	}
-	b.emit(&ir.Instr{Op: ir.OpMove, Dst: dst, Args: []*ir.Reg{res}})
+	b.put(ir.Instr{Op: ir.OpMove}, dst, one(res))
 	return nil
 }
 
@@ -640,7 +804,7 @@ func (b *bodyNormalizer) queryParts(from, to types.Type, src []*ir.Reg) (*ir.Reg
 	tc := b.n.tc
 	constBool := func(v bool) *ir.Reg {
 		r := b.nf.NewReg(tc.Bool(), "")
-		b.emit(&ir.Instr{Op: ir.OpConstBool, Dst: []*ir.Reg{r}, IVal: boolVal(v)})
+		b.put(ir.Instr{Op: ir.OpConstBool, IVal: boolVal(v)}, one(r), nil)
 		return r
 	}
 	ft, fok := from.(*types.Tuple)
@@ -660,7 +824,7 @@ func (b *bodyNormalizer) queryParts(from, to types.Type, src []*ir.Reg) (*ir.Reg
 				acc = r
 			} else {
 				nacc := b.nf.NewReg(tc.Bool(), "")
-				b.emit(&ir.Instr{Op: ir.OpBoolAnd, Dst: []*ir.Reg{nacc}, Args: []*ir.Reg{acc, r}})
+				b.put(ir.Instr{Op: ir.OpBoolAnd}, one(nacc), []*ir.Reg{acc, r})
 				acc = nacc
 			}
 		}
@@ -676,6 +840,6 @@ func (b *bodyNormalizer) queryParts(from, to types.Type, src []*ir.Reg) (*ir.Reg
 		return constBool(to == tc.Void()), nil
 	}
 	r := b.nf.NewReg(tc.Bool(), "")
-	b.emit(&ir.Instr{Op: ir.OpTypeQuery, Dst: []*ir.Reg{r}, Args: []*ir.Reg{src[0]}, Type: to, Type2: from})
+	b.put(ir.Instr{Op: ir.OpTypeQuery, Type: to, Type2: from}, one(r), src[:1])
 	return r, nil
 }

@@ -204,7 +204,7 @@ func (o *optimizer) applySpecDevirt(f *ir.Func, in *ir.Instr, cls *ir.Class, tar
 	fast.Instrs = []*ir.Instr{
 		{Op: ir.OpTypeCast, Dst: []*ir.Reg{rc}, Args: []*ir.Reg{recv},
 			Type: cls.Type, Type2: recv.Type, Pos: in.Pos},
-		{Op: ir.OpCallStatic, Dst: in.Dst, Fn: target, Args: args, Pos: in.Pos},
+		{Op: ir.OpCallStatic, Dst: append([]*ir.Reg(nil), in.Dst...), Fn: target, Args: args, Pos: in.Pos},
 		{Op: ir.OpJump, Blocks: []*ir.Block{cont}, Pos: in.Pos},
 	}
 	slow.Instrs = []*ir.Instr{

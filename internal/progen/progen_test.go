@@ -61,7 +61,7 @@ func TestExpansionGrows(t *testing.T) {
 		t.Error("expansion factor should be positive")
 	}
 	found := false
-	for _, fe := range comp.MonoStats.PerFunc {
+	for _, fe := range comp.MonoStats.PerFunc() {
 		if fe.Instances >= 3 {
 			found = true
 			break
