@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-short bench-check lint
+.PHONY: build test race bench bench-short bench-check experiments lint
 
 build:
 	$(GO) build ./...
@@ -13,8 +13,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench records the full E1-E8 and engine/tiering/analysis/incremental/
-# cluster suite to BENCH_<date>.json in the repo root.
+# bench records the experiment-table rows and the incremental, service
+# and cluster series to BENCH_<date>.json in the repo root.
 bench:
 	$(GO) run ./cmd/bench
 
@@ -23,9 +23,15 @@ bench-short:
 	$(GO) run ./cmd/bench -short
 
 # bench-check also judges every gate of the table in cmd/bench/gates.go,
-# prints one pass/fail/skip line per gate and exits 1 if any failed.
+# prints one pass/fail line per gate and exits 1 if any failed.
 bench-check:
 	$(GO) run ./cmd/bench -short -check
+
+# experiments regenerates EXPERIMENTS.md from the table in
+# internal/experiments, timing every row on both engines.
+experiments:
+	$(GO) run ./cmd/bench -report > EXPERIMENTS.md.tmp
+	mv EXPERIMENTS.md.tmp EXPERIMENTS.md
 
 lint:
 	for f in examples/virgil/*.v; do $(GO) run ./cmd/virgil lint $$f; done

@@ -1,15 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
 )
 
 // bound is a gate's limit and its direction.
@@ -32,7 +27,7 @@ func (b bound) holds(v float64) bool {
 // gate is one -check entry. value turns the rows it reads into one
 // number, which must stay within bound. While the gate fails, its rows
 // are re-measured up to remeasures times, each row keeping its best
-// sample. A gate with a skip reason is reported, never judged.
+// sample.
 type gate struct {
 	name       string
 	rows       []string
@@ -40,7 +35,6 @@ type gate struct {
 	unit       string // "x" for a ratio, "%" for a percentage, "" for a count
 	bound      bound
 	remeasures int
-	skip       string
 }
 
 const (
@@ -49,8 +43,7 @@ const (
 )
 
 // gates is the -check table. Each ratio's rows run in the same process,
-// so none depends on drift between snapshots. The baseline comparison
-// is appended at run time by baselineGates.
+// so none depends on drift between snapshots.
 var gates = []gate{
 	// E5, the print1 query chain, is the workload the bytecode engine
 	// was built to win: calls, global loads, fused arithmetic and
@@ -122,93 +115,6 @@ func p99Ratio(s *samples, rows []string) float64 {
 	return s.cluster[rows[0]].P99Ms / s.cluster[rows[1]].P99Ms
 }
 
-// loadBaseline reads the newest committed BENCH_*.json other than the
-// current output path. A missing or unreadable baseline is not an
-// error — the first run on a machine has nothing to compare against.
-func loadBaseline(outPath string) *report {
-	names, err := filepath.Glob("BENCH_*.json")
-	if err != nil || len(names) == 0 {
-		return nil
-	}
-	sort.Strings(names) // BENCH_<ISO date>.json sorts chronologically
-	for i := len(names) - 1; i >= 0; i-- {
-		if names[i] == outPath {
-			continue
-		}
-		data, err := os.ReadFile(names[i])
-		if err != nil {
-			continue
-		}
-		var rep report
-		if json.Unmarshal(data, &rep) != nil {
-			continue
-		}
-		return &rep
-	}
-	return nil
-}
-
-// baselineVariance is how much slower than the committed snapshot an
-// execution row may run, after drift, before -check calls it a
-// regression: it catches order-of-magnitude slips, not scheduler jitter.
-const baselineVariance = 1.5
-
-// baselineGates compares this run's execution rows with the committed
-// snapshot base, one gate per row both measured. Rows are comparable
-// only when the machine and workload shape match; otherwise a single
-// skipped gate says why. Snapshots come from shared machines whose
-// speed drifts between days, so each row's bound is scaled by the
-// median new/old ratio over all compared rows, floored at 1: uniform
-// drift cancels out, while a slip caused by the code is an outlier and
-// still fails.
-func baselineGates(base *report, cur report) []gate {
-	skip := func(why string) []gate { return []gate{{name: "baseline", skip: why}} }
-	if base == nil {
-		return skip("no committed BENCH_*.json snapshot")
-	}
-	if shape(*base) != shape(cur) {
-		return skip(fmt.Sprintf("snapshot of %s ran %s; this run is %s", base.Date, shape(*base), shape(cur)))
-	}
-	old := map[string]float64{}
-	for _, r := range base.Benchmarks {
-		old[r.Name] = r.NsPerOp
-	}
-	var gs []gate
-	var ratios []float64
-	for _, r := range cur.Benchmarks {
-		o := old[r.Name]
-		// Compile-bound rows drift across days independently of the
-		// execution rows (allocator and GC pressure against tight CPU
-		// loops), so they are left out. Compile cost is gated within one
-		// run by the analysis-overhead gate.
-		exec := strings.HasPrefix(r.Name, "E") && !strings.Contains(r.Name, "Compile")
-		if o == 0 || !exec {
-			continue
-		}
-		gs = append(gs, gate{name: "baseline " + r.Name, rows: []string{r.Name}, unit: "x", remeasures: 2,
-			value: func(s *samples, rows []string) float64 { return s.ns[rows[0]] / o }})
-		ratios = append(ratios, r.NsPerOp/o)
-	}
-	if len(gs) == 0 {
-		return skip(fmt.Sprintf("snapshot of %s shares no execution row with this run", base.Date))
-	}
-	sort.Float64s(ratios)
-	drift := max(ratios[len(ratios)/2], 1) // a faster machine is no license for slower rows
-	for i := range gs {
-		gs[i].bound = atMost(baselineVariance * drift)
-	}
-	return gs
-}
-
-// shape is what must match for two snapshots' timings to be compared.
-func shape(r report) string {
-	mode := "full mode"
-	if r.Short {
-		mode = "short mode"
-	}
-	return fmt.Sprintf("%s on %s, num_cpu=%d", mode, r.GOARCH, r.NumCPU)
-}
-
 // samples indexes one run's measurements by row name.
 type samples struct {
 	ns      map[string]float64 // testing.Benchmark rows, ns/op
@@ -257,18 +163,15 @@ func (s *samples) keepBest(fresh *samples) {
 
 // verdict is one gate's outcome.
 type verdict struct {
-	status     string // "pass", "fail" or "skip"
+	status     string // "pass" or "fail"
 	value      float64
 	remeasured int
-	why        string // the skip reason or the missing row
+	why        string // the missing row
 }
 
 // judge evaluates g on s. While g fails it re-measures g's rows, at
 // most g.remeasures times, folding each fresh sample into s.
 func judge(g gate, s *samples, remeasure func(rows []string) *samples) verdict {
-	if g.skip != "" {
-		return verdict{status: "skip", why: g.skip}
-	}
 	for _, row := range g.rows {
 		if !s.has(row) {
 			return verdict{status: "fail", why: "missing row " + row}
@@ -323,7 +226,7 @@ func runGates(w io.Writer, gs []gate, s *samples, remeasure func(rows []string) 
 		tally[v.status]++
 		fmt.Fprintln(w, g.line(v))
 	}
-	fmt.Fprintf(w, "check: %d pass, %d fail, %d skip\n", tally["pass"], tally["fail"], tally["skip"])
+	fmt.Fprintf(w, "check: %d pass, %d fail\n", tally["pass"], tally["fail"])
 	if tally["fail"] > 0 {
 		return 1
 	}

@@ -23,7 +23,7 @@ func passingReport() report {
 		"CompileIncremental/cold":       600,
 		"CompileIncremental/edit1":      100,
 	}
-	rep := report{GOARCH: "amd64", NumCPU: 2, Short: true}
+	var rep report
 	for name, v := range ns {
 		rep.Benchmarks = append(rep.Benchmarks, result{Name: name, NsPerOp: v})
 	}
@@ -66,14 +66,21 @@ func TestGateTableConsistency(t *testing.T) {
 			if rows[b.name] {
 				t.Errorf("table(%v): row %s listed twice", short, b.name)
 			}
+			if b.base != "" && !rows[b.base] {
+				t.Errorf("table(%v): row %s takes its speedup against %s, which does not run before it", short, b.name, b.base)
+			}
 			rows[b.name] = true
 		}
 		return rows
 	}
 	short, full := rowsOf(true), rowsOf(false)
 	other := map[string]bool{nofaultRow: true, killRow: true}
-	for _, p := range churnProgs(1) {
-		other[heapRowName(p)] = true
+	heap, err := analysisHeapRows(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range heap {
+		other[r.Name] = true
 	}
 	for name := range other {
 		if short[name] || full[name] {
@@ -92,7 +99,7 @@ func TestGateTableConsistency(t *testing.T) {
 		if math.IsNaN(g.bound.limit) || math.IsInf(g.bound.limit, 0) {
 			t.Errorf("gate %q: bound %v is not a number", g.name, g.bound.limit)
 		}
-		if g.value == nil || len(g.rows) == 0 || g.remeasures < 0 || g.skip != "" {
+		if g.value == nil || len(g.rows) == 0 || g.remeasures < 0 {
 			t.Errorf("gate %q: incomplete entry %+v", g.name, g)
 		}
 		for _, row := range g.rows {
@@ -228,58 +235,6 @@ func TestClusterSampleReplacement(t *testing.T) {
 	}
 }
 
-func TestBaselineGates(t *testing.T) {
-	cur := report{GOARCH: "amd64", NumCPU: 2, Short: true, Benchmarks: []result{
-		{Name: "E1_DynamicChecks/compiled", NsPerOp: 100},
-		{Name: "Engine_E5_Print1/bytecode", NsPerOp: 100},
-		{Name: "E7_CompileSpeed/largest", NsPerOp: 100},
-		{Name: "Tiered_E1_TupleSmall/tiered", NsPerOp: 100},
-	}}
-
-	if gs := baselineGates(nil, cur); len(gs) != 1 || gs[0].skip == "" {
-		t.Fatalf("no snapshot: %+v, want one skip", gs)
-	}
-	full := cur
-	full.Short, full.NumCPU, full.Date = false, 1, "2026-08-07"
-	gs := baselineGates(&full, cur)
-	if len(gs) != 1 || gs[0].skip != "snapshot of 2026-08-07 ran full mode on amd64, num_cpu=1; this run is short mode on amd64, num_cpu=2" {
-		t.Fatalf("shape mismatch: %+v, want one skip with its reason", gs)
-	}
-	if code := runGates(&strings.Builder{}, gs, newSamples(cur), nil); code != 0 {
-		t.Fatalf("a skipped baseline exits %d, want 0", code)
-	}
-
-	// Every row ran twice as fast as the snapshot: drift floors at 1,
-	// so the bound stays 1.5 rather than shrinking to 0.75.
-	old := cur
-	old.Benchmarks = nil
-	for _, r := range cur.Benchmarks {
-		old.Benchmarks = append(old.Benchmarks, result{Name: r.Name, NsPerOp: 2 * r.NsPerOp})
-	}
-	gs = baselineGates(&old, cur)
-	if len(gs) != 2 || gs[0].rows[0] != "E1_DynamicChecks/compiled" || gs[1].rows[0] != "Engine_E5_Print1/bytecode" {
-		t.Fatalf("compared rows %+v, want only the two execution rows", gs)
-	}
-	for _, g := range gs {
-		if g.bound != atMost(1.5) || g.remeasures != 2 {
-			t.Errorf("gate %q: bound %+v, %d re-measures; want <= 1.5 and 2", g.name, g.bound, g.remeasures)
-		}
-		if v := judge(g, newSamples(cur), nil); v.status != "pass" || v.value != 0.5 {
-			t.Errorf("gate %q: %+v, want pass at 0.5", g.name, v)
-		}
-	}
-
-	// A uniform 1.2x slowdown is drift: the bound becomes 1.8.
-	for i := range old.Benchmarks {
-		old.Benchmarks[i].NsPerOp = 100 / 1.2
-	}
-	for _, g := range baselineGates(&old, cur) {
-		if math.Abs(g.bound.limit-1.8) > 1e-12 {
-			t.Errorf("gate %q: bound %v, want 1.8", g.name, g.bound.limit)
-		}
-	}
-}
-
 func TestRunGatesJudgesEveryGate(t *testing.T) {
 	var out strings.Builder
 	remeasure, calls := remeasurer(nil)
@@ -301,17 +256,15 @@ func TestRunGatesJudgesEveryGate(t *testing.T) {
 		return report{}
 	})
 	out.Reset()
-	gs := append(append([]gate(nil), gates...), gate{name: "baseline", skip: "no committed BENCH_*.json snapshot"})
-	code := runGates(&out, gs, newSamples(rep), remeasure)
+	code := runGates(&out, gates, newSamples(rep), remeasure)
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if code != 1 || len(lines) != len(gs)+1 {
-		t.Fatalf("exit %d with %d lines, want 1 with %d\n%s", code, len(lines), len(gs)+1, out.String())
+	if code != 1 || len(lines) != len(gates)+1 {
+		t.Fatalf("exit %d with %d lines, want 1 with %d\n%s", code, len(lines), len(gates)+1, out.String())
 	}
-	want := map[string]string{"incremental edit1 vs cold": "fail", "baseline": "skip"}
-	for i, g := range gs {
-		status := want[g.name]
-		if status == "" {
-			status = "pass"
+	for i, g := range gates {
+		status := "pass"
+		if g.name == "incremental edit1 vs cold" {
+			status = "fail"
 		}
 		if !strings.HasPrefix(lines[i], "check: "+status) || !strings.Contains(lines[i], g.name) {
 			t.Errorf("line %d = %q, want a %s verdict for %s", i, lines[i], status, g.name)
@@ -324,7 +277,7 @@ func TestRunGatesJudgesEveryGate(t *testing.T) {
 	if *calls != 2 || strings.Join(rowsSeen, ",") != incr+","+incr {
 		t.Errorf("re-measured %v in %d calls, want the incremental rows twice", rowsSeen, *calls)
 	}
-	if lines[len(gs)] != "check: 8 pass, 1 fail, 1 skip" {
-		t.Errorf("tally %q", lines[len(gs)])
+	if lines[len(gates)] != "check: 8 pass, 1 fail" {
+		t.Errorf("tally %q", lines[len(gates)])
 	}
 }

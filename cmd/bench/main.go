@@ -1,8 +1,9 @@
-// Command bench runs the repository's experiment benchmarks (E1-E8
-// and the engine, tiering, analysis, incremental and cluster series)
-// through testing.Benchmark and records the results as a JSON
-// snapshot, so perf numbers land in the repo with the machine context
-// needed to interpret them.
+// Command bench runs the repository's benchmarks through
+// testing.Benchmark and records the results as a JSON snapshot, so perf
+// numbers land with the machine context needed to interpret them. The
+// E-series, engine, tiering and analysis rows come from the experiment
+// table in internal/experiments; the incremental, service, containment
+// and cluster rows are defined here.
 //
 // Usage:
 //
@@ -10,14 +11,14 @@
 //	go run ./cmd/bench -short          # small workloads, for CI
 //	go run ./cmd/bench -short -check   # also enforce the -check gates
 //	go run ./cmd/bench -out FILE.json  # explicit output path
+//	go run ./cmd/bench -report         # print EXPERIMENTS.md to stdout
 //
 // -check judges every gate of the table in gates.go: the engine's E5
 // speedup, the tiered geomean, the heap reduction on each churn
 // workload, the analysis compile overhead, the incremental edit1
-// speedup and the three cluster SLOs, plus one baseline gate per
-// execution row comparable with the newest committed BENCH_*.json. It
-// prints one pass, fail or skip line per gate, after the snapshot is
-// written, and exits 1 if and only if some gate failed.
+// speedup and the three cluster SLOs. It prints one pass or fail line
+// per gate, after the snapshot is written, and exits 1 if and only if
+// some gate failed.
 package main
 
 import (
@@ -28,17 +29,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/interp"
 	"repro/internal/loadgen"
 	"repro/internal/progen"
@@ -52,15 +54,10 @@ type result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	// EngineSpeedup is set on Engine_*/bytecode rows: the matching
-	// switch-interpreter time divided by the bytecode time.
-	EngineSpeedup float64 `json:"engine_speedup,omitempty"`
-	// TierSpeedup is set on Tiered_*/tiered rows: the matching
-	// untiered (no-profile) time divided by the tiered time.
-	TierSpeedup float64 `json:"tier_speedup,omitempty"`
-	// IncrSpeedup is set on CompileIncremental/{edit1,warm} rows: the
-	// cold (from-scratch) time divided by this row's time.
-	IncrSpeedup float64 `json:"incr_speedup,omitempty"`
+	// Base names the row this one is compared with, and Speedup is the
+	// base row's time divided by this row's.
+	Base    string  `json:"base,omitempty"`
+	Speedup float64 `json:"speedup,omitempty"`
 }
 
 type report struct {
@@ -106,68 +103,33 @@ type heapRow struct {
 
 // bench is one named entry in the flat benchmark table.
 // testing.Benchmark does not aggregate b.Run sub-benchmarks, so the
-// table is flat: one entry per (workload, config) point.
+// table is flat: one entry per (workload, config) point. base names the
+// earlier row this one's speedup is taken against.
 type bench struct {
-	name string
-	fn   func(b *testing.B)
+	name, base string
+	fn         func(b *testing.B)
 }
 
-// runProg benchmarks executing a pre-compiled program.
-func runProg(p testprogs.Prog, cfg core.Config) func(b *testing.B) {
+// timeSide benchmarks one operation of an experiment-table side: one
+// run of the program built beforehand, or one compile of its source.
+func timeSide(s experiments.Side, op experiments.Op) func(b *testing.B) {
 	return func(b *testing.B) {
-		comp, err := core.Compile(p.Name+".v", p.Source, cfg)
+		b.ReportAllocs()
+		if op == experiments.Compile {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Compile(s.Prog.Name+".v", s.Prog.Source, s.Config); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return
+		}
+		comp, err := s.Build()
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := comp.RunTo(io.Discard, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// runTieredProg benchmarks executing the tier-2 artifact of a program:
-// compile, harvest a profile from one run, recompile with the profile
-// attached (speculative devirtualization, hot inlining, profile-driven
-// run fusion), then time the tiered build. Paired with a plain runProg
-// row measured in the same process, so the tier-up gate never depends
-// on cross-snapshot drift.
-func runTieredProg(p testprogs.Prog, cfg core.Config) func(b *testing.B) {
-	return func(b *testing.B) {
-		cfg.Engine = core.EngineBytecode
-		base, err := core.Compile(p.Name+".v", p.Source, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, prof, err := base.RunProfiled(context.Background(), io.Discard, core.RunOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tcfg := cfg
-		tcfg.PGO = prof
-		comp, err := core.Compile(p.Name+".v", p.Source, tcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := comp.RunTo(io.Discard, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// compileSrc benchmarks the full compilation pipeline on src.
-func compileSrc(src string, cfg core.Config) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Compile("gen.v", src, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -253,92 +215,60 @@ func incrWarm(src string, cfg core.Config) func(b *testing.B) {
 	}
 }
 
+// reportRuns is how many times -report measures each side, keeping the
+// fastest: one testing.Benchmark run on a shared machine can catch a
+// pause that has nothing to do with the side.
+const reportRuns = 3
+
+// size is the experiment-table size of a run.
+func size(short bool) experiments.Size {
+	if short {
+		return experiments.Short
+	}
+	return experiments.Full
+}
+
 // table builds the benchmark list. Short mode shrinks every workload
 // so a CI run finishes in seconds.
 func table(short bool) []bench {
-	n := 10000
-	scale := 16
-	if short {
-		n = 1000
-		scale = 4
-	}
-	ref, comp := core.Reference(), core.Compiled()
-	mono := core.Config{Monomorphize: true}
+	sz := size(short)
+	scale := sz.Scale
+	exp := experiments.New(sz)
 
 	var t []bench
-	add := func(name string, fn func(b *testing.B)) { t = append(t, bench{name, fn}) }
+	add := func(name, base string, fn func(b *testing.B)) { t = append(t, bench{name, base, fn}) }
 
-	add("E1_DynamicChecks/reference", runProg(testprogs.BenchTupleSmall(n), ref))
-	add("E1_DynamicChecks/compiled", runProg(testprogs.BenchTupleSmall(n), comp))
-	add("E2_TupleSmall/boxed", runProg(testprogs.BenchTupleSmall(n), mono))
-	add("E2_TupleSmall/flattened", runProg(testprogs.BenchTupleSmall(n), comp))
-	add("E2_TupleLarge/boxed", runProg(testprogs.BenchTupleLarge(n/4), mono))
-	add("E2_TupleLarge/flattened", runProg(testprogs.BenchTupleLarge(n/4), comp))
-	add("E3_GenericList/reference", runProg(testprogs.BenchGenericList(n/4), ref))
-	add("E3_GenericList/compiled", runProg(testprogs.BenchGenericList(n/4), comp))
-	add("E3_HashMap/reference", runProg(testprogs.BenchHashMap(n/2), ref))
-	add("E3_HashMap/compiled", runProg(testprogs.BenchHashMap(n/2), comp))
-	add("E5_Print1/reference", runProg(testprogs.BenchPrint1(n), ref))
-	add("E5_Print1/compiled", runProg(testprogs.BenchPrint1(n), comp))
-	add("E5_DirectBaseline/compiled", runProg(testprogs.BenchDirect(n), comp))
-	add("E6_Matcher/reference", runProg(testprogs.BenchMatcher(n/2), ref))
-	add("E6_Matcher/compiled", runProg(testprogs.BenchMatcher(n/2), comp))
-
-	// Engine series: switch interpreter vs register bytecode on the hot
-	// workloads, both over fully compiled IR. The switch row runs first
-	// so the bytecode row can carry EngineSpeedup.
-	swCfg, bcCfg := comp, comp
-	swCfg.Engine = core.EngineSwitch
-	bcCfg.Engine = core.EngineBytecode
-	addEngine := func(label string, p testprogs.Prog) {
-		add("Engine_"+label+"/switch", runProg(p, swCfg))
-		add("Engine_"+label+"/bytecode", runProg(p, bcCfg))
+	// Each experiment row's base side runs first, so its test side can
+	// carry the speedup. -check gates the Engine_E5, Tiered_E{1,3,5} and
+	// Analysis_Compile pairs. E4 and the ablation are left to -report and
+	// go test -bench. The series run in this order so that each gated
+	// row follows the same kind of work as it always has: the execution
+	// rows before the compile-heavy ones.
+	timed := func(ids ...string) {
+		for _, r := range exp.Rows(ids...) {
+			base := r.Name + "/" + r.Base.Label
+			add(base, "", timeSide(r.Base, r.Op))
+			add(r.Name+"/"+r.Test.Label, base, timeSide(r.Test, r.Op))
+		}
 	}
-	addEngine("E1_TupleSmall", testprogs.BenchTupleSmall(n))
-	addEngine("E3_HashMap", testprogs.BenchHashMap(n/2))
-	addEngine("E5_Print1", testprogs.BenchPrint1(n))
-	addEngine("E6_Matcher", testprogs.BenchMatcher(n/2))
+	timed("E1", "E2", "E3", "E5", "E6", "Engine", "Tiered")
+	// End to end through the service: a warm /run of the E6 matcher after
+	// it has tiered up vs on a server with tiering disabled. HTTP and JSON
+	// overhead ride along, so this row is informational, not part of the
+	// geomean gate.
+	matcher := exp.Rows("E6")[0].Base.Prog
+	add("Tiered_ServeWarm/untiered", "", serveWarmRun(-1, matcher))
+	add("Tiered_ServeWarm/tiered", "Tiered_ServeWarm/untiered", serveWarmRun(2, matcher))
 
-	// Tiered series: the feedback-directed tier-2 artifact vs the plain
-	// bytecode build, measured back to back in the same process. The
-	// untiered row runs first so the tiered row can carry TierSpeedup;
-	// -check gates the E{1,3,5} geomean.
-	addTiered := func(label string, p testprogs.Prog) {
-		add("Tiered_"+label+"/untiered", runProg(p, bcCfg))
-		add("Tiered_"+label+"/tiered", runTieredProg(p, bcCfg))
-	}
-	addTiered("E1_TupleSmall", testprogs.BenchTupleSmall(n))
-	addTiered("E3_HashMap", testprogs.BenchHashMap(n/2))
-	addTiered("E5_Print1", testprogs.BenchPrint1(n))
-	// End to end through the service: a warm /run of a program that has
-	// already tiered up vs one on a server with tiering disabled. HTTP
-	// and JSON overhead ride along, so this row is informational, not
-	// part of the geomean gate.
-	add("Tiered_ServeWarm/untiered", serveWarmRun(-1, n))
-	add("Tiered_ServeWarm/tiered", serveWarmRun(2, n))
-
-	// E8: containment latency — how fast the modeled heap budget stops a
+	// Containment latency: how fast the modeled heap budget stops a
 	// runaway allocator. One op is one full run ending in !HeapExhausted;
 	// informational, not gated by -check.
-	add("E8_HeapContainment/array_growth", heapContainment("array_growth", 1<<20, comp))
-	add("E8_HeapContainment/string_concat", heapContainment("string_concat", 1<<16, comp))
+	add("E8_HeapContainment/array_growth", "", heapContainment("array_growth", 1<<20, core.Compiled()))
+	add("E8_HeapContainment/string_concat", "", heapContainment("string_concat", 1<<16, core.Compiled()))
 
-	// Analysis series: the interprocedural analysis layer's cost
-	// (compile-time, with vs without) and payoff (execution of the
-	// allocation-churn workloads whose heap charges it promotes away).
-	// The heap-reduction numbers themselves are measured exactly once
-	// in analysisHeapRows, not through testing.Benchmark.
-	noa := comp
-	noa.Analyze = false
-	add("Analysis_ClosureChurn/with", runProg(testprogs.BenchClosureChurn(n), comp))
-	add("Analysis_ClosureChurn/without", runProg(testprogs.BenchClosureChurn(n), noa))
-	add("Analysis_ObjectChurn/with", runProg(testprogs.BenchObjectChurn(n), comp))
-	add("Analysis_ObjectChurn/without", runProg(testprogs.BenchObjectChurn(n), noa))
+	timed("Analysis")
+	timed("E7")
 
-	src := progen.Generate(progen.Scale(scale))
-	add("Analysis_Compile/with", compileSrc(src, comp))
-	add("Analysis_Compile/without", compileSrc(src, noa))
-	add("E7_CompileSpeed/largest", compileSrc(src, comp))
 	// Incremental series on its own corpus: the largest generated
 	// program extended with straight-line call chains, which weight the
 	// workload toward backend optimization the way a real optimizing
@@ -348,67 +278,42 @@ func table(short bool) []bench {
 	// through the incremental entry point, edit1 recompiles after a
 	// one-function edit against a warm store, warm is the
 	// unchanged-source module hit. Uses the analysis-free optimized
-	// config — the one the store serves at function granularity. The
-	// cold row runs first so the others can carry IncrSpeedup; -check
+	// config — the one the store serves at function granularity. -check
 	// enforces the edit1 floor.
 	ip := progen.Scale(scale)
 	ip.Chains = 40 * scale
 	ip.ChainDepth = 16
 	incrSrc := progen.Generate(ip)
 	incrCfg := core.Config{Monomorphize: true, Normalize: true, Optimize: true}
-	add("CompileIncremental/cold", incrCold(incrSrc, incrCfg))
-	add("CompileIncremental/edit1", incrEdit1(incrSrc, incrCfg))
-	add("CompileIncremental/warm", incrWarm(incrSrc, incrCfg))
+	add("CompileIncremental/cold", "", incrCold(incrSrc, incrCfg))
+	add("CompileIncremental/edit1", "CompileIncremental/cold", incrEdit1(incrSrc, incrCfg))
+	add("CompileIncremental/warm", "CompileIncremental/cold", incrWarm(incrSrc, incrCfg))
 	for _, c := range concCounts() {
-		add(fmt.Sprintf("ServeThroughput/conc=%d", c), serveThroughput(c, scale))
+		add(fmt.Sprintf("ServeThroughput/conc=%d", c), "", serveThroughput(c, scale))
 	}
 	return t
 }
 
-// churnProgs are the allocation-churn workloads whose heap charges the
-// analysis layer promotes away.
-func churnProgs(n int) []testprogs.Prog {
-	return []testprogs.Prog{testprogs.BenchClosureChurn(n), testprogs.BenchObjectChurn(n)}
-}
-
-func heapRowName(p testprogs.Prog) string { return "Analysis_Heap/" + p.Name }
-
-// analysisHeapRows runs each allocation-churn workload once under the
-// full pipeline with and without the analysis layer and records the
-// modeled heap charge of both builds. The runs are deterministic, so a
-// single execution is exact — no benchmark loop needed.
+// analysisHeapRows records the modeled heap charge of each Analysis run
+// row's two builds, without and with the analysis layer. The runs are
+// deterministic, so one of each is exact.
 func analysisHeapRows(short bool) ([]heapRow, error) {
-	n := 10000
-	if short {
-		n = 1000
-	}
-	with := core.Compiled()
-	without := core.Compiled()
-	without.Analyze = false
 	var rows []heapRow
-	for _, p := range churnProgs(n) {
-		heap := func(cfg core.Config) (int64, error) {
-			comp, err := core.Compile(p.Name+".v", p.Source, cfg)
-			if err != nil {
-				return 0, fmt.Errorf("%s: compile: %w", p.Name, err)
-			}
-			stats, err := comp.RunTo(io.Discard, 0)
-			if err != nil {
-				return 0, fmt.Errorf("%s: run: %w", p.Name, err)
-			}
-			return stats.HeapBytes, nil
+	for _, r := range experiments.New(size(short)).Rows("Analysis") {
+		if r.Op != experiments.Run {
+			continue
 		}
-		off, err := heap(without)
+		off, err := r.Base.Count(r.Op)
 		if err != nil {
 			return nil, err
 		}
-		on, err := heap(with)
+		on, err := r.Test.Count(r.Op)
 		if err != nil {
 			return nil, err
 		}
-		row := heapRow{Name: heapRowName(p), HeapBytesOff: off, HeapBytesOn: on}
-		if off > 0 {
-			row.ReductionPct = 100 * float64(off-on) / float64(off)
+		row := heapRow{Name: "Analysis_Heap/" + r.Base.Prog.Name, HeapBytesOff: off.Heap, HeapBytesOn: on.Heap}
+		if off.Heap > 0 {
+			row.ReductionPct = 100 * float64(off.Heap-on.Heap) / float64(off.Heap)
 		}
 		rows = append(rows, row)
 	}
@@ -505,12 +410,11 @@ func heapContainment(name string, maxHeap int64, cfg core.Config) func(b *testin
 // drives the program past the tier-up threshold and every measured
 // request serves the tier-2 artifact; with tierAfter < 0 tiering is
 // disabled and the same warm program serves its plain compilation.
-func serveWarmRun(tierAfter, n int) func(b *testing.B) {
+func serveWarmRun(tierAfter int, p testprogs.Prog) func(b *testing.B) {
 	return func(b *testing.B) {
 		s := serve.New(serve.Config{TierAfter: tierAfter})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
-		p := testprogs.BenchMatcher(n / 2)
 		body, err := json.Marshal(serve.Request{
 			Files: []serve.FileJSON{{Name: p.Name + ".v", Source: p.Source}},
 		})
@@ -621,6 +525,7 @@ func main() {
 	check := flag.Bool("check", false, "exit nonzero if any -check gate fails")
 	out := flag.String("out", "", "output path (default BENCH_<date>.json)")
 	benchtime := flag.String("benchtime", "", "per-benchmark measuring time (default 1s, 200ms with -short)")
+	reportMode := flag.Bool("report", false, "print the experiment table with timings on both engines as markdown; write no snapshot")
 	testing.Init()
 	flag.Parse()
 
@@ -647,6 +552,29 @@ func main() {
 		Benchtime:  bt,
 	}
 
+	if *reportMode {
+		sz := size(*short)
+		head := fmt.Sprintf("Measured %s with %s on %s/%s, num_cpu=%d, gomaxprocs=%d; n=%d, progen scale %d; "+
+			"each time is the best ns/op of %d testing.Benchmark runs at benchtime %s.",
+			rep.Date, rep.GoVersion, rep.GOOS, rep.GOARCH, rep.NumCPU, rep.GOMAXPROCS, sz.N, sz.Scale, reportRuns, bt)
+		timer := func(s experiments.Side, op experiments.Op) (float64, error) {
+			best := math.Inf(1)
+			for i := 0; i < reportRuns; i++ {
+				res, ok := measure(s.Label, timeSide(s, op))
+				if !ok {
+					return 0, errors.New("benchmark produced no iterations (failed?)")
+				}
+				best = math.Min(best, res.NsPerOp)
+			}
+			return best, nil
+		}
+		if err := experiments.New(sz).Report(os.Stdout, head, timer); err != nil {
+			fmt.Fprintln(os.Stderr, "bench:", err)
+			os.Exit(1)
+		}
+		return
+	}
+
 	nsByName := map[string]float64{}
 	fnByName := map[string]func(*testing.B){}
 	for _, entry := range table(*short) {
@@ -657,20 +585,8 @@ func main() {
 			os.Exit(1)
 		}
 		nsByName[entry.name] = res.NsPerOp
-		if tail, ok := strings.CutSuffix(entry.name, "/bytecode"); ok && res.NsPerOp > 0 {
-			if sw, ok := nsByName[tail+"/switch"]; ok {
-				res.EngineSpeedup = sw / res.NsPerOp
-			}
-		}
-		if tail, ok := strings.CutSuffix(entry.name, "/tiered"); ok && res.NsPerOp > 0 {
-			if ut, ok := nsByName[tail+"/untiered"]; ok {
-				res.TierSpeedup = ut / res.NsPerOp
-			}
-		}
-		if strings.HasPrefix(entry.name, "CompileIncremental/") && entry.name != "CompileIncremental/cold" && res.NsPerOp > 0 {
-			if cold, ok := nsByName["CompileIncremental/cold"]; ok {
-				res.IncrSpeedup = cold / res.NsPerOp
-			}
+		if entry.base != "" {
+			res.Base, res.Speedup = entry.base, nsByName[entry.base]/res.NsPerOp
 		}
 		rep.Benchmarks = append(rep.Benchmarks, res)
 		fmt.Printf("%-34s %12.0f ns/op %9d allocs/op\n", entry.name, res.NsPerOp, res.AllocsPerOp)
@@ -702,12 +618,6 @@ func main() {
 	if path == "" {
 		path = "BENCH_" + rep.Date + ".json"
 	}
-	// Load the committed baseline before the output overwrites it (the
-	// same-day case).
-	var baseline *report
-	if *check {
-		baseline = loadBaseline(path)
-	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -735,7 +645,7 @@ func main() {
 			}
 			return newSamples(fresh)
 		}
-		os.Exit(runGates(os.Stdout, append(gates, baselineGates(baseline, rep)...), newSamples(rep), remeasure))
+		os.Exit(runGates(os.Stdout, gates, newSamples(rep), remeasure))
 	}
 }
 
