@@ -72,8 +72,11 @@ type Config struct {
 
 	// VerifyIR runs the typed IR verifier (ir.Verify) after every
 	// pipeline stage, converting stage-local IR corruption into a
-	// stage-tagged ICE at the earliest point it is observable. The
-	// VIRGIL_VERIFY_IR environment variable force-enables it.
+	// stage-tagged ICE at the earliest point it is observable. It also
+	// double-compiles every function-granular CompileFilesIncremental
+	// result from scratch and reports any difference as an ICE of stage
+	// "incremental". The VIRGIL_VERIFY_IR environment variable
+	// force-enables it.
 	VerifyIR bool
 
 	// MaxErrors caps the independent diagnostics reported from one
@@ -228,9 +231,8 @@ type Timings struct {
 
 // Compilation is the result of running the pipeline.
 type Compilation struct {
-	Config  Config
-	Program *typecheck.Program
-	Module  *ir.Module
+	Config Config
+	Module *ir.Module
 	// MonoStats is set when monomorphization ran.
 	MonoStats *mono.Stats
 	// NormStats is set when normalization ran.
@@ -307,7 +309,11 @@ func CompileFilesContext(ctx context.Context, files []File, cfg Config) (*Compil
 	if err != nil {
 		return nil, err
 	}
-	mod, err := p.frontend()
+	prog, err := p.check(nil)
+	if err != nil {
+		return nil, err
+	}
+	mod, err := p.lower(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -325,11 +331,6 @@ type pipeline struct {
 	errs  *src.ErrorList
 	files []File
 	start time.Time
-	// preParsed supplies cached ASTs by file name (incremental parse
-	// reuse); files not in the map are parsed from source. parsed holds
-	// the frontend's AST set for the cache to absorb afterwards.
-	preParsed map[string]*ast.File
-	parsed    []*ast.File
 }
 
 // backendOpts are the incremental hooks into the pipeline's back half:
@@ -387,13 +388,11 @@ func (p *pipeline) diags() error {
 	return p.errs
 }
 
-// frontend runs parse, typecheck, and lower — the stages every
-// compilation pays regardless of cached artifacts, since typechecking
-// is whole-program. Parsing alone can be skipped per file via
-// preParsed: the checker re-annotates AST nodes in place, so a cached
-// AST checks the same as a fresh one (the caller serializes compiles
-// that share cached nodes).
-func (p *pipeline) frontend() (*ir.Module, error) {
+// check parses and typechecks the files. cached supplies ASTs by file
+// name (the incremental parse cache); files not in it are parsed from
+// source. The checker annotates AST nodes in place, so the caller must
+// own every cached AST for as long as the program is in use.
+func (p *pipeline) check(cached map[string]*ast.File) (*typecheck.Program, error) {
 	t0 := time.Now()
 	var parsed []*ast.File
 	if err := guard("parse", func() error {
@@ -401,14 +400,13 @@ func (p *pipeline) frontend() (*ir.Module, error) {
 			return err
 		}
 		for _, f := range p.files {
-			pf := p.preParsed[f.Name]
+			pf := cached[f.Name]
 			if pf == nil {
 				pf = parser.Parse(f.Name, f.Source, p.errs)
 			}
 			parsed = append(parsed, pf)
 			p.comp.Timings.SourceLen += len(f.Source)
 		}
-		p.parsed = parsed
 		return nil
 	}); err != nil {
 		return nil, err
@@ -433,9 +431,14 @@ func (p *pipeline) frontend() (*ir.Module, error) {
 	if !p.errs.Empty() {
 		return nil, p.diags()
 	}
-	p.comp.Program = prog
+	return prog, nil
+}
 
-	t0 = time.Now()
+// lower lowers a checked program. Lowering only reads prog, so the
+// incremental path lowers it again when a partial backend has consumed
+// the first lowering and the compile falls back to a full one.
+func (p *pipeline) lower(prog *typecheck.Program) (*ir.Module, error) {
+	t0 := time.Now()
 	var mod *ir.Module
 	if err := guard("lower", func() error {
 		if err := stageStart(p.ctx, "lower"); err != nil {
@@ -602,35 +605,11 @@ func isStructured(err error) bool {
 // Diagnostics come back as a *src.ErrorList and panics as stage-tagged
 // *src.ICE values, exactly as in CompileFiles.
 func CheckFiles(files []File) (*typecheck.Program, error) {
-	errs := &src.ErrorList{}
-	diags := func() error {
-		errs.Sort()
-		errs.Truncate(src.MaxReported)
-		return errs
-	}
-	var parsed []*ast.File
-	if err := guard("parse", func() error {
-		for _, f := range files {
-			parsed = append(parsed, parser.Parse(f.Name, f.Source, errs))
-		}
-		return nil
-	}); err != nil {
+	p, err := newPipeline(context.Background(), files, Reference())
+	if err != nil {
 		return nil, err
 	}
-	if !errs.Empty() {
-		return nil, diags()
-	}
-	var prog *typecheck.Program
-	if err := guard("check", func() error {
-		prog = typecheck.Check(parsed, errs)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if !errs.Empty() {
-		return nil, diags()
-	}
-	return prog, nil
+	return p.check(nil)
 }
 
 // RunResult is the outcome of executing a compiled program.

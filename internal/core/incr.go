@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -42,8 +41,8 @@ import (
 //     are reused by reference from the base module. Only the dirty
 //     remainder recompiles, with the optimizer replaying the base
 //     recording so the result is byte-identical to a from-scratch
-//     compile (enforced by the edit-script differential suite and the
-//     VIRGIL_INCR_VERIFY double-compile mode).
+//     compile (enforced by the edit-script differential suite and, under
+//     Config.VerifyIR, by a double compile of every such result).
 //
 //   - from-scratch fallback: anything the incremental path cannot
 //     prove safe (environment changed, vtable layouts moved, transfer
@@ -86,26 +85,28 @@ type IncrStats struct {
 }
 
 // incrBase is one store entry: a finished compilation plus the tables
-// that make its artifacts reusable. All fields are immutable after
-// insertion; reused functions are shared by reference across the
+// that make its artifacts reusable. All fields but astc are immutable
+// after insertion; reused functions are shared by reference across the
 // compilations assembled from them.
 type incrBase struct {
+	// comp is a cloneFor copy of the compile's result, so the store never
+	// retains the engine program a caller's runs translate.
 	comp    *Compilation
 	srcHash [32]byte
 	// envHash and selfHash are nil/zero for entries that only support
 	// whole-module hits (ineligible configs, or defs too ambiguous to
 	// table).
-	envHash   [32]byte
-	selfHash  map[string][32]byte // lowered func name → content hash
-	vtables   map[string][]string // class name → vtable entry func names
-	funcs   map[string]*ir.Func // final (post-opt) funcs by name
-	globals map[string]*ir.Global
-	rec     *opt.Recording
-	module  *ir.Module
+	envHash  [32]byte
+	selfHash map[string][32]byte // lowered func name → content hash
+	vtables  map[string][]string // class name → vtable entry func names
+	funcs    map[string]*ir.Func // final (post-opt) funcs by name
+	globals  map[string]*ir.Global
+	rec      *opt.Recording
+	module   *ir.Module
 	// xferDefs carries the nominal def tables for type transfer.
 	xferDefs xferDefs
-	// astc is the parse cache shared (by pointer, with its mutex)
-	// across every generation of base for this fingerprint.
+	// astc is the parse cache, shared by pointer across every
+	// generation of base for this fingerprint.
 	astc *astCache
 }
 
@@ -115,13 +116,14 @@ type xferDefs struct {
 }
 
 // astCache carries parsed files across the compiles of one store
-// fingerprint: a file whose content hash is unchanged skips parsing
-// and hands its previous AST to the checker again. The checker
-// annotates AST nodes in place, so reuse must be serialized — mu is
-// held from parse through lower, and the cache object (with its
-// mutex) is inherited by every later base of the same fingerprint,
-// keeping exactly one lock per set of compiles that can share nodes.
-// Distinct fingerprints never share ASTs.
+// fingerprint: a file whose content hash is unchanged skips parsing and
+// hands its previous AST to the checker again. The checker annotates
+// AST nodes in place, so an entry is checked out, never shared: take
+// removes the entries a compile reuses, and put returns the compile's
+// ASTs once it has succeeded. At most one compile checks a cached AST at
+// a time; a concurrent compile of the same file parses its own copy,
+// and a failed compile returns nothing, so half-annotated nodes never
+// go back in. Distinct fingerprints never share ASTs.
 type astCache struct {
 	mu sync.Mutex
 	m  map[string]astEntry // file name → last successful parse
@@ -135,31 +137,35 @@ type astEntry struct {
 
 func newASTCache() *astCache { return &astCache{m: map[string]astEntry{}} }
 
-// match returns the cached ASTs valid for files, keyed by name. Caller
-// holds mu. Duplicate file names make name-keyed reuse ambiguous:
-// match returns nil and update refuses to cache them.
-func (c *astCache) match(files []File, hashes [][32]byte) map[string]*ast.File {
-	if len(c.m) == 0 || dupNames(files) {
+// take removes and returns the cached ASTs valid for files, keyed by
+// name. Duplicate file names make name-keyed reuse ambiguous: take
+// returns nil and put refuses to cache them.
+func (c *astCache) take(files []File, hashes [][32]byte) map[string]*ast.File {
+	if dupNames(files) {
 		return nil
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make(map[string]*ast.File, len(files))
 	for i, f := range files {
 		if e, ok := c.m[f.Name]; ok && e.hash == hashes[i] {
 			out[f.Name] = e.file
+			delete(c.m, f.Name)
 		}
 	}
 	return out
 }
 
-// update absorbs a successful frontend's ASTs. Caller holds mu.
-func (c *astCache) update(files []File, hashes [][32]byte, parsed []*ast.File) {
+// put stores a successful compile's ASTs; the compile must not touch
+// them afterwards.
+func (c *astCache) put(files []File, hashes [][32]byte, parsed []*ast.File) {
 	if dupNames(files) {
 		return
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i, f := range files {
-		if i < len(parsed) && parsed[i] != nil {
-			c.m[f.Name] = astEntry{hash: hashes[i], file: parsed[i]}
-		}
+		c.m[f.Name] = astEntry{hash: hashes[i], file: parsed[i]}
 	}
 }
 
@@ -247,7 +253,6 @@ func (s *Store) insert(fp [32]byte, base *incrBase) {
 func (c *Compilation) cloneFor(cfg Config) *Compilation {
 	return &Compilation{
 		Config:    cfg,
-		Program:   c.Program,
 		Module:    c.Module,
 		MonoStats: c.MonoStats,
 		NormStats: c.NormStats,
@@ -302,13 +307,28 @@ func CompileFilesIncremental(ctx context.Context, files []File, cfg Config, stor
 	}
 
 	astc := newASTCache()
-	if base != nil && base.astc != nil {
+	if base != nil {
 		astc = base.astc
 	}
 	fileH := fileHashes(files)
-	p, lowered, err := cachedFrontend(ctx, files, fileH, cfg, astc)
+	p, err := newPipeline(ctx, files, cfg)
 	if err != nil {
 		return nil, st, err
+	}
+	prog, err := p.check(astc.take(files, fileH))
+	if err != nil {
+		return nil, st, err
+	}
+	lowered, err := p.lower(prog)
+	if err != nil {
+		return nil, st, err
+	}
+	// keep makes a successful compile the fingerprint's base and returns
+	// the ASTs it checked to the parse cache.
+	keep := func(b *incrBase) {
+		b.astc = astc
+		store.insert(fp, b)
+		astc.put(files, fileH, prog.Files)
 	}
 
 	eligible := incrEligible(cfg)
@@ -321,7 +341,7 @@ func CompileFilesIncremental(ctx context.Context, files []File, cfg Config, stor
 			eligible = false
 			st.Reason = "duplicate lowered function names"
 		} else {
-			envH = hashEnv(lowered, p.comp.Program)
+			envH = hashEnv(lowered, prog)
 		}
 	}
 
@@ -331,25 +351,19 @@ func CompileFilesIncremental(ctx context.Context, files []File, cfg Config, stor
 			return nil, st, ierr
 		}
 		if ok {
-			newBase := baseFromIncremental(comp, srcH, envH, selfNew, base)
-			newBase.astc = astc
-			store.insert(fp, newBase)
-			if verr := incrVerify(ctx, files, cfg, comp); verr != nil {
-				return nil, st, verr
+			if p.cfg.VerifyIR {
+				if verr := incrVerify(ctx, files, cfg, comp); verr != nil {
+					return nil, st, verr
+				}
 			}
+			keep(baseFromIncremental(comp, srcH, envH, selfNew, base))
 			return comp, st, nil
 		}
 		st.Mode = ModeFallback
 		if spent {
-			// The partial backend consumed lowered, so the full compile
-			// needs a fresh lowering. Lowering p's checked program
-			// again would not do: since the parse cache lock was
-			// released, another compile may have re-checked the
-			// shared ASTs and re-annotated them with its own types.
-			// The whole frontend runs again; its parses come from the
-			// cache.
-			p, lowered, err = cachedFrontend(ctx, files, fileH, cfg, astc)
-			if err != nil {
+			// The partial backend consumed lowered; the full compile
+			// lowers this compile's checked program again.
+			if lowered, err = p.lower(prog); err != nil {
 				return nil, st, err
 			}
 		}
@@ -369,51 +383,15 @@ func CompileFilesIncremental(ctx context.Context, files []File, cfg Config, stor
 		return nil, st, err
 	}
 	st.FuncsRecompiled = len(comp.Module.Funcs)
-	newBase := baseFromScratch(comp, srcH, envH, selfNew, rec, eligible)
-	newBase.astc = astc
-	store.insert(fp, newBase)
+	keep(baseFromScratch(comp, srcH, envH, selfNew, rec, eligible))
 	return comp, st, nil
-}
-
-// cachedFrontend runs a new pipeline's frontend, reusing unchanged
-// files' ASTs from astc. The checker re-annotates nodes in place, so
-// the cache mutex is held across the whole frontend
-// (parse→check→lower); after lowering, nothing downstream reads the
-// AST. The cache survives frontend failure untouched — entries are
-// only added on success, and a failed re-check simply re-annotates on
-// the next use.
-func cachedFrontend(ctx context.Context, files []File, fileH [][32]byte, cfg Config, astc *astCache) (*pipeline, *ir.Module, error) {
-	p, err := newPipeline(ctx, files, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	astc.mu.Lock()
-	defer astc.mu.Unlock()
-	p.preParsed = astc.match(files, fileH)
-	lowered, err := p.frontend()
-	if err != nil {
-		return nil, nil, err
-	}
-	astc.update(files, fileH, p.parsed)
-	return p, lowered, nil
-}
-
-// pruneForStore shallow-copies a compilation for store retention,
-// dropping the checked AST: no consumer reads it off a module hit, and
-// store entries outlive their compile by the life of the process, so
-// retaining the largest pointer-rich structure of the frontend would
-// tax every GC cycle of every later compile against this store.
-func pruneForStore(comp *Compilation) *Compilation {
-	c := comp.cloneFor(comp.Config)
-	c.Program = nil
-	return c
 }
 
 // baseFromScratch builds a store entry from a full compile. When the
 // def tables can't be built unambiguously the entry still serves
 // whole-module hits (selfHash nil disables the function-granular path).
 func baseFromScratch(comp *Compilation, srcH, envH [32]byte, selfH map[string][32]byte, rec *opt.Recording, eligible bool) *incrBase {
-	b := &incrBase{comp: pruneForStore(comp), srcHash: srcH, module: comp.Module}
+	b := &incrBase{comp: comp.cloneFor(comp.Config), srcHash: srcH, module: comp.Module}
 	if !eligible || selfH == nil {
 		return b
 	}
@@ -435,7 +413,7 @@ func baseFromScratch(comp *Compilation, srcH, envH [32]byte, selfH map[string][3
 // same).
 func baseFromIncremental(comp *Compilation, srcH, envH [32]byte, selfH map[string][32]byte, prev *incrBase) *incrBase {
 	b := &incrBase{
-		comp:     pruneForStore(comp),
+		comp:     comp.cloneFor(comp.Config),
 		srcHash:  srcH,
 		envHash:  envH,
 		selfHash: selfH,
@@ -483,13 +461,10 @@ func vtableLayout(c *ir.Class) []string {
 	return names
 }
 
-// incrVerify, under VIRGIL_INCR_VERIFY, recompiles from scratch and
-// diffs module dumps against the incremental result. A mismatch is an
-// ICE: the incremental path produced output a cold compile would not.
+// incrVerify recompiles from scratch and diffs module dumps against a
+// function-granular result; it runs under Config.VerifyIR. A mismatch is
+// an ICE: the incremental path produced output a cold compile would not.
 func incrVerify(ctx context.Context, files []File, cfg Config, comp *Compilation) error {
-	if os.Getenv("VIRGIL_INCR_VERIFY") == "" {
-		return nil
-	}
 	scratch, err := CompileFilesContext(ctx, files, cfg)
 	if err != nil {
 		return &src.ICE{Stage: "incremental", Msg: fmt.Sprintf("double-compile failed: %v", err)}

@@ -2,12 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/ast"
 	"repro/internal/faultinject"
+	"repro/internal/ir"
+	"repro/internal/src"
 	"repro/internal/testprogs"
 )
 
@@ -103,7 +108,7 @@ func editScripts() []editScript {
 		},
 		{
 			name: "add-function", old: "def main() -> int {",
-			new:  "def fresh(z: int) -> int { return z + 41; }\ndef main() -> int {", maxRecompiled: 3,
+			new: "def fresh(z: int) -> int { return z + 41; }\ndef main() -> int {", maxRecompiled: 3,
 		},
 		{
 			// Deleting a function: replace helper's only use, then drop it.
@@ -279,11 +284,12 @@ def main() -> int {
 // a probe that instantiates the generic virtual method at one type
 // argument with a probe that adds a second, so a compile whose base
 // came from the other kind falls back after its partial backend ran.
-// The fallback must check the shared file again before it lowers:
-// meanwhile another compile may have re-annotated it with its own
-// class definitions, and lowering those (makeLoud names Loud) beside
-// this compile's own is an ICE in mono or a dump that differs from
-// scratch. Under -race, an unlocked re-check is a reported race.
+// The fallback lowers its own checked program again. That is sound
+// only because the compile owns the ASTs that program annotates: had
+// another compile re-checked the shared file meanwhile, lowering its
+// class definitions (makeLoud names Loud) beside this compile's own
+// would be an ICE in mono or a dump that differs from scratch, and
+// under -race a reported race.
 func TestIncrementalLayoutFallbackConcurrent(t *testing.T) {
 	const lib = `
 class Echo {
@@ -493,12 +499,12 @@ func TestIncrementalStoreFault(t *testing.T) {
 // TestIncrementalMultiFileASTReuse drives edits through a two-file
 // program so the unchanged file's AST comes from the base's parse
 // cache (the single-file tests always invalidate their one file and
-// never hit it). The checker re-annotates cached nodes in place on
-// every compile, so the test loops several edits — each check over the
-// reused AST must stay byte-identical to a from-scratch compile — and
-// injects a failing edit in the middle, since a failed check leaves
-// cached nodes partially re-annotated and the next compile must not
-// care.
+// never hit it). The checker re-annotates a reused AST on every
+// compile, so the test loops several edits, each of which must stay
+// byte-identical to a from-scratch compile and reuse the same lib.v
+// AST. A failing edit in the middle checks lib.v's AST out and must
+// not return it half-annotated: afterwards the cache holds no lib.v,
+// and the next edit parses a fresh one.
 func TestIncrementalMultiFileASTReuse(t *testing.T) {
 	cfg := optConfig()
 	store := NewStore(2)
@@ -511,9 +517,18 @@ func TestIncrementalMultiFileASTReuse(t *testing.T) {
 	compile := func(p string) (*Compilation, *IncrStats, error) {
 		return CompileFilesIncremental(context.Background(), files(p), cfg, store)
 	}
+	// cachedLib reads the parse cache's lib.v entry; no compile is in
+	// flight when it is called.
+	cachedLib := func() *ast.File {
+		return store.lookup(cfg.storeFingerprint()).astc.m["lib.v"].file
+	}
 
 	if _, st, err := compile(probe(0)); err != nil || st.Mode != ModeCold {
 		t.Fatalf("first compile: mode=%v err=%v", st, err)
+	}
+	lib := cachedLib()
+	if lib == nil {
+		t.Fatal("cold compile cached no lib.v AST")
 	}
 	for i := 1; i <= 3; i++ {
 		incComp, st, err := compile(probe(i))
@@ -534,9 +549,20 @@ func TestIncrementalMultiFileASTReuse(t *testing.T) {
 		if want.runOut != got.runOut || want.runErr != got.runErr {
 			t.Fatalf("edit %d: run differs", i)
 		}
+		switch got := cachedLib(); {
+		case got == nil:
+			t.Fatalf("edit %d: lib.v AST not returned to the cache", i)
+		case i < 3 && got != lib:
+			t.Fatalf("edit %d: lib.v was parsed again instead of reused", i)
+		case i == 3 && got == lib:
+			t.Fatalf("edit %d: reused the lib.v AST a failed compile had checked out", i)
+		}
 		if i == 2 {
 			if _, _, err := compile("def probe(q: int) -> int { return nosuch; }\n"); err == nil {
 				t.Fatalf("broken probe compiled")
+			}
+			if got := cachedLib(); got != nil {
+				t.Fatal("failed compile returned its lib.v AST to the cache")
 			}
 		}
 	}
@@ -560,10 +586,11 @@ func TestIncrementalMultiFileASTReuse(t *testing.T) {
 	}
 }
 
-// TestIncrementalConcurrentSharedStore hammers one store — and thus
-// one parse cache — from goroutines compiling different edits of the
-// same two-file program. The cache's mutex serializes frontends that
-// share AST nodes; running this under -race is the proof that it does.
+// TestIncrementalConcurrentSharedStore hammers one store, and thus one
+// parse cache, from goroutines compiling different edits of the same
+// two-file program. Each compile checks the cached lib.v AST out or,
+// while another holds it, parses its own; running this under -race is
+// the proof that no two compiles annotate one AST at once.
 func TestIncrementalConcurrentSharedStore(t *testing.T) {
 	cfg := optConfig()
 	store := NewStore(2)
@@ -610,6 +637,116 @@ func TestIncrementalConcurrentSharedStore(t *testing.T) {
 	}
 	if scratch.Module.String() != comp.Module.String() {
 		t.Fatalf("post-stampede incremental differs from scratch")
+	}
+}
+
+// TestIncrementalCompilesDoNotWait holds one compile in its lower stage
+// with an injected 2 s delay while a second compile of another probe
+// runs on the same store. Both want the cached lib.v AST; whichever
+// asks second parses its own copy, so the compile that is not held
+// returns while the other still is, instead of waiting for the cached
+// AST to come back.
+func TestIncrementalCompilesDoNotWait(t *testing.T) {
+	const delay = 2 * time.Second
+	cfg := optConfig()
+	store := NewStore(2)
+	files := func(i int) []File {
+		return []File{
+			{Name: "lib.v", Source: editProgBase},
+			{Name: "probe.v", Source: fmt.Sprintf("def probe(q: int) -> int { return q * 3 + %d; }\n", i)},
+		}
+	}
+	if _, _, err := CompileFilesIncremental(context.Background(), files(0), cfg, store); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := faultinject.Parse(fmt.Sprintf("lower:delay:0:%d", delay.Milliseconds()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := faultinject.Set(reg)
+	defer restore()
+
+	type result struct {
+		probe int
+		at    time.Duration
+		dump  string
+		err   error
+	}
+	done := make(chan result, 2)
+	start := time.Now()
+	compile := func(i int) {
+		comp, _, err := CompileFilesIncremental(context.Background(), files(i), cfg, store)
+		r := result{probe: i, at: time.Since(start), err: err}
+		if err == nil {
+			r.dump = comp.Module.String()
+		}
+		done <- r
+	}
+	// The fault delays whichever compile reaches lower first.
+	go compile(1)
+	go compile(2)
+	first, second := <-done, <-done
+	restore()
+	if first.at >= delay {
+		t.Fatalf("probe %d returned after %v: it waited for the compile held in lower", first.probe, first.at)
+	}
+	if second.at < delay {
+		t.Fatalf("probe %d returned after %v: the lower fault never held it", second.probe, second.at)
+	}
+	for _, r := range []result{first, second} {
+		if r.err != nil {
+			t.Fatalf("probe %d: %v", r.probe, r.err)
+		}
+		scratch, err := CompileFilesContext(context.Background(), files(r.probe), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scratch.Module.String() != r.dump {
+			t.Fatalf("probe %d: incremental dump differs from scratch", r.probe)
+		}
+	}
+}
+
+// TestIncrementalVerifyCatchesCorruptReuse is the double-compile check
+// under VerifyIR: a reused function body that no longer matches what a
+// from-scratch compile produces must surface as an incremental ICE.
+func TestIncrementalVerifyCatchesCorruptReuse(t *testing.T) {
+	cfg := optConfig()
+	cfg.VerifyIR = true
+	store := NewStore(2)
+	compileIncr(t, store, editProgBase, cfg)
+	// helper is outside the change-body edit's dirty closure, so the
+	// edit reuses its compiled body from the base.
+	helper := store.lookup(cfg.storeFingerprint()).funcs["helper"]
+	if helper == nil {
+		t.Fatal("base has no helper")
+	}
+	corrupted := false
+	for _, b := range helper.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpConstInt && !corrupted {
+				in.IVal++
+				corrupted = true
+			}
+		}
+	}
+	if !corrupted {
+		t.Fatalf("helper has no integer constant to corrupt:\n%s", helper)
+	}
+	var edit editScript
+	for _, e := range editScripts() {
+		if e.name == "change-body" {
+			edit = e
+		}
+	}
+	edited := applyEdit(t, editProgBase, edit)
+	_, st, err := CompileFilesIncremental(context.Background(), []File{{Name: "edit.v", Source: edited}}, cfg, store)
+	var ice *src.ICE
+	if !errors.As(err, &ice) || ice.Stage != "incremental" {
+		t.Fatalf("mode %s: err = %v, want an incremental-stage ICE", st.Mode, err)
+	}
+	if st.FuncsReused == 0 {
+		t.Fatal("the edit reused no function, so the corrupt body was never in play")
 	}
 }
 

@@ -84,10 +84,14 @@ type Stats struct {
 	// Steps is the number of IR instructions executed (also the virtual
 	// clock for clock.ticks).
 	Steps int64
-	// AdaptChecks counts dynamic arity-adaptation checks at virtual and
-	// indirect call sites (§4.1); zero in fully normalized code.
+	// AdaptChecks counts every entry into Adapt, the dynamic
+	// arity-adaptation check at virtual and indirect call sites (§4.1);
+	// the bytecode engine counts its inline-cache hits, which stand in
+	// for Adapt, the same way. Normalization leaves these call sites in
+	// place; only the analysis layer's direct calls remove them.
 	AdaptChecks int64
-	// AdaptPacks counts adaptations that had to box or unbox a tuple.
+	// AdaptPacks counts adaptations that had to box or unbox a tuple;
+	// normalization brings it to zero.
 	AdaptPacks int64
 	// TypeEnvBinds counts runtime type-argument bindings performed
 	// (§4.3's "invisible arguments"); zero in monomorphized code.
