@@ -45,10 +45,9 @@
 // recorded execution profile as stable JSON; run -profile-out=file
 // does the same while keeping
 // the program's output. -profile-in feeds a recorded profile back into
-// the compile for profile-guided optimization: speculative
-// devirtualization of observed-monomorphic call sites (guarded, never
-// a deopt trap) and hot inlining — a stale profile can cost speed,
-// never correctness.
+// the compile for profile-guided optimization: hot inlining with a
+// raised budget and run fusion in profile-hot functions — a stale
+// profile can cost speed, never correctness.
 //
 // Exit codes: 0 success; 1 source diagnostics, Virgil trap, resource
 // exhaustion, or lint findings under -lint-strict; 2 usage error or

@@ -323,7 +323,7 @@ def main() {
 	if code != exitOK {
 		t.Fatalf("profile: exit %d stderr %q", code, stderr)
 	}
-	if !strings.Contains(prof1, `"version": 1`) || !strings.Contains(prof1, `"kind": "virtual"`) {
+	if !strings.Contains(prof1, `"version": 1`) || !strings.Contains(prof1, `"calls": 100`) {
 		t.Fatalf("profile JSON missing expected fields:\n%s", prof1)
 	}
 	dir := t.TempDir()

@@ -86,17 +86,16 @@ type Config struct {
 	MaxErrors int
 
 	// Profile makes every run on this Compilation record an execution
-	// profile (per-function invocation and step counters, inline-cache
-	// site outcomes, branch biases), retrievable via RunProfiled. Only
-	// the bytecode engine collects profiles, so Profile with
-	// Engine=="switch" is a Validate error. Off, runs pay zero
-	// profiling overhead.
+	// profile (per-function invocation and step counters, branch
+	// biases), retrievable via RunProfiled. Only the bytecode engine
+	// collects profiles, so Profile with Engine=="switch" is a Validate
+	// error. Off, runs pay zero profiling overhead.
 	Profile bool
 
 	// PGO, when non-nil, feeds a previously recorded profile into the
-	// compile: the optimizer adds speculative devirtualization and hot
-	// inlining, and the bytecode translator fuses instruction runs in
-	// profile-hot functions. Profiles are advisory — a stale or wrong
+	// compile: the optimizer spends a raised inlining budget on
+	// profile-hot functions, and the bytecode translator fuses
+	// instruction runs in them. Profiles are advisory — a stale or wrong
 	// profile can cost speed, never correctness, and observable behavior
 	// is identical under both engines. Requires Optimize.
 	PGO *profile.Profile

@@ -24,8 +24,8 @@ var storeKeyFields = map[string]bool{
 	// Analyze changes the optimizer's passes (devirtualization, pure
 	// call elimination, stack promotion), not just tooling output.
 	"Analyze": true,
-	// PGO steers speculative devirtualization and hot inlining; two
-	// different profiles produce different modules.
+	// PGO steers hot inlining; two different profiles produce
+	// different modules.
 	"PGO": true,
 	// MaxErrors caps the diagnostic list on failed compiles. Successful
 	// compiles are MaxErrors-independent, but the store also answers

@@ -142,12 +142,12 @@ func fuzzDiffAnalyze(t *testing.T, source string, on, off core.RunResult) {
 // fuzzDiffTiered performs the serve layer's tier-up in miniature —
 // profile one run, recompile with the profile — and holds the result
 // to the same bar as the analyze ablation: identical output and trap
-// identity versus the untiered build (speculation guards legitimately
-// move step counts and budget boundaries, so resource and heap stops
-// void the comparison), plus exact engine-vs-engine equality on the
-// tiered module itself. A stale or lying profile is covered elsewhere
-// (internal/opt); here the profile is real but possibly partial, since
-// the harvesting run may have trapped or hit a budget.
+// identity versus the untiered build (hot inlining legitimately moves
+// step counts and budget boundaries, so resource and heap stops void
+// the comparison), plus exact engine-vs-engine equality on the tiered
+// module itself. A garbage profile is covered elsewhere (internal/opt);
+// here the profile is real but possibly partial, since the harvesting
+// run may have trapped or hit a budget.
 // fuzzDiffIncremental warms an artifact store with source, applies a
 // synthetic edit (an appended function), and diffs the incremental
 // compile of the edited program against a from-scratch compile. The

@@ -61,16 +61,13 @@ type icEntry struct {
 const megaInstalls = 4
 
 // recorder holds the engine's profile counters, dense-indexed by the
-// program's deterministic site/branch/function numbering. nil unless
+// program's deterministic branch/function numbering. nil unless
 // the engine was created with Options.Profile, so the only cost on an
 // unprofiled run is a nil check at the recording points.
 type recorder struct {
-	sites    []siteCnt
 	branches []branchCnt
 	fns      []fnCnt
 }
-
-type siteCnt struct{ hits, misses int64 }
 
 type branchCnt struct{ taken, not int64 }
 
@@ -172,7 +169,6 @@ func New(p *Program, opts interp.Options) *Engine {
 	}
 	if opts.Profile {
 		e.rec = &recorder{
-			sites:    make([]siteCnt, p.numICs),
 			branches: make([]branchCnt, p.numBranches),
 			fns:      make([]fnCnt, len(p.pnames)),
 		}
@@ -203,41 +199,6 @@ func (e *Engine) Profile() *profile.Profile {
 		f := p.FuncFor(e.p.pnames[idx])
 		f.Calls = fr.calls
 		f.Steps = fr.steps
-	}
-	for ici := range e.rec.sites {
-		sr := &e.rec.sites[ici]
-		if sr.hits == 0 && sr.misses == 0 {
-			continue
-		}
-		m := e.p.siteMeta[ici]
-		st := p.FuncFor(e.p.pnames[m.fn]).Site(m.ord)
-		st.Kind = profile.SiteVirtual
-		if m.indirect {
-			st.Kind = profile.SiteIndirect
-		}
-		st.Hits, st.Misses = sr.hits, sr.misses
-		ice := &e.ics[ici]
-		st.Installs, st.Mega = int64(ice.installs), ice.mega
-		if ice.mega {
-			continue
-		}
-		// The surviving cache identity is the site's observed target.
-		switch {
-		case m.indirect && ice.ifn != nil && !ice.hasRecv:
-			st.Callee = ice.ifn.Name
-		case m.indirect && ice.ifn != nil:
-			// Bound-method closure: the callee is stable but the bound
-			// receiver is not identified, so record the method only.
-			st.Callee = ice.ifn.Name
-			if ice.ifn.Class != nil {
-				st.Class = ice.ifn.Class.Name
-			}
-		case !m.indirect && ice.cls != nil:
-			st.Class = ice.cls.Name
-			if int(m.slot) < len(ice.cls.Vtable) && ice.cls.Vtable[m.slot] != nil {
-				st.Callee = ice.cls.Vtable[m.slot].Name
-			}
-		}
 	}
 	for bi := range e.rec.branches {
 		br := &e.rec.branches[bi]
@@ -676,17 +637,11 @@ func (e *Engine) callVirtual(fn *fnCode, ins *einstr, cd *coldInstr, s []int64, 
 		// known to match), but it is still counted, like the
 		// interpreter's adapt fast path.
 		e.stats.AdaptChecks++
-		if e.rec != nil {
-			e.rec.sites[ins.ic].hits++
-		}
 		n, err := e.callPlanned(ic.fast, ic.plan, s, r, recv, true)
 		if err != nil {
 			return err
 		}
 		return e.storeRets(cd.dsts, s, r, n)
-	}
-	if e.rec != nil {
-		e.rec.sites[ins.ic].misses++
 	}
 	provided := make([]interp.Value, len(cd.args)-1)
 	for k := 1; k < len(cd.args); k++ {
@@ -739,9 +694,6 @@ func (e *Engine) callIndirect(ins *einstr, cd *coldInstr, fvv interp.Value, s []
 	ic := &e.ics[ins.ic]
 	if ic.ifn == fv.Fn && ic.hasRecv == fv.HasRecv && ic.fast != nil {
 		e.stats.AdaptChecks++
-		if e.rec != nil {
-			e.rec.sites[ins.ic].hits++
-		}
 		var recv interp.Value
 		if fv.HasRecv {
 			recv = fv.Recv
@@ -751,9 +703,6 @@ func (e *Engine) callIndirect(ins *einstr, cd *coldInstr, fvv interp.Value, s []
 			return err
 		}
 		return e.storeRets(cd.dsts, s, r, n)
-	}
-	if e.rec != nil {
-		e.rec.sites[ins.ic].misses++
 	}
 	provided := make([]interp.Value, len(cd.args))
 	for k, a := range cd.args {

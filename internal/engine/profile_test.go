@@ -39,7 +39,7 @@ func TestMegamorphicStopsInstalling(t *testing.T) {
 	mod := compileMod(t, polySource)
 	p := Compile(mod)
 	var out strings.Builder
-	e := New(p, interp.Options{Out: &out, Profile: true})
+	e := New(p, interp.Options{Out: &out})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,25 +63,8 @@ func TestMegamorphicStopsInstalling(t *testing.T) {
 	if mega == 0 {
 		t.Fatal("alternating receivers over 90 calls never flipped a site megamorphic")
 	}
-	// The profile must report the site as megamorphic and record every
-	// dispatch as a miss after warmup.
-	prof := e.Profile()
-	var site *profile.Site
-	for _, f := range prof.Funcs {
-		for _, s := range f.Sites {
-			if s.Mega {
-				site = s
-			}
-		}
-	}
-	if site == nil {
-		t.Fatal("no megamorphic site in profile")
-	}
-	if site.Monomorphic() {
-		t.Error("megamorphic site must not qualify as monomorphic")
-	}
-	if site.Misses < 80 {
-		t.Errorf("mega site misses = %d, want most of the 90 dispatches", site.Misses)
+	if mega != 1 {
+		t.Errorf("%d megamorphic sites, want only poll's virtual call", mega)
 	}
 }
 
@@ -99,30 +82,27 @@ def main() {
 `)
 	p := Compile(mod)
 	var out strings.Builder
-	e := New(p, interp.Options{Out: &out, Profile: true})
+	e := New(p, interp.Options{Out: &out})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	prof := e.Profile()
-	var site *profile.Site
-	for _, f := range prof.Funcs {
-		for _, s := range f.Sites {
-			if s.Kind == profile.SiteVirtual {
-				site = s
-			}
+	if out.String() != "350" {
+		t.Fatalf("output %q, want 350", out.String())
+	}
+	var site *icEntry
+	for i := range e.ics {
+		if e.ics[i].cls != nil {
+			site = &e.ics[i]
 		}
 	}
 	if site == nil {
-		t.Fatal("no virtual site recorded")
+		t.Fatal("no virtual site cached")
 	}
-	if site.Installs != 1 || site.Mega {
-		t.Errorf("mono site: installs=%d mega=%v, want exactly 1 install", site.Installs, site.Mega)
+	if site.installs != 1 || site.mega {
+		t.Errorf("mono site: installs=%d mega=%v, want exactly 1 install", site.installs, site.mega)
 	}
-	if !site.Monomorphic() {
-		t.Errorf("hot mono site should qualify for speculation: %+v", site)
-	}
-	if site.Class != "A" || site.Callee != "A.m" {
-		t.Errorf("site identity = (%q, %q), want (A, A.m)", site.Class, site.Callee)
+	if site.cls.Name != "A" || site.fast == nil || site.fast.name != "A.m" {
+		t.Errorf("mono site cached %q without a fast path to A.m", site.cls.Name)
 	}
 }
 

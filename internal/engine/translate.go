@@ -206,16 +206,6 @@ type fnCode struct {
 	idx      int // dense function index (profile counters, pnames)
 }
 
-// siteMeta is the static identity of one inline-cache call site: the
-// owning function's dense index and the per-function site ordinal the
-// profile keys on. slot is the vtable slot of virtual sites.
-type siteMeta struct {
-	fn       int
-	ord      int
-	slot     int32
-	indirect bool
-}
-
 // brMeta is the static identity of one conditional branch. back marks
 // a branch with an edge to an already-translated block — a loop edge,
 // so its taken counter approximates the trip count.
@@ -240,11 +230,10 @@ type Program struct {
 	classByTyp map[*types.Class]*ir.Class
 	maxRet     int
 
-	// Profile identity: deterministic dense numbering of functions,
-	// call sites, and branches, so runtime counters recorded against
-	// this program can be exported under stable keys.
+	// Profile identity: deterministic dense numbering of functions and
+	// branches, so runtime counters recorded against this program can be
+	// exported under stable keys.
 	numBranches int
-	siteMeta    []siteMeta
 	branchMeta  []brMeta
 	pnames      []string // profile name per fnCode.idx
 	// hotFns gates profile-driven run fusion: only functions the input
@@ -432,11 +421,10 @@ type translator struct {
 	// hot enables profile-driven run fusion for this function; pend is
 	// the pending run of fusable instructions merged on emit, pendPos
 	// their positions.
-	hot      bool
-	pend     []einstr
-	pendPos  []src.Pos
-	nextSite int // per-function call-site ordinal
-	nextBr   int // per-function branch ordinal
+	hot     bool
+	pend    []einstr
+	pendPos []src.Pos
+	nextBr  int // per-function branch ordinal
 }
 
 type fixup struct {
@@ -449,7 +437,7 @@ type fixup struct {
 func (t *translator) translate(f *ir.Func, fc *fnCode) {
 	t.f, t.fc = f, fc
 	t.fixes, t.cold = t.fixes[:0], t.cold[:0]
-	t.nextSite, t.nextBr = 0, 0
+	t.nextBr = 0
 	t.hot = t.p.hotFns[t.p.pnames[fc.idx]]
 	t.reads = resize(t.reads, f.NumRegs(), 0)
 	t.start = resize(t.start, f.NumBlocks(), -1)
@@ -867,22 +855,17 @@ func (t *translator) fuseLoadCall(gl, ci *ir.Instr) bool {
 		return false
 	}
 	in := einstr{op: opGLoadCallInd, nsteps: 2, aux: int32(slotOf(genc)),
-		ic: t.newIC(true, -1)}
+		ic: t.newIC()}
 	c := t.newCold(&in)
 	c.args, c.dsts = t.encAll(ci.Args[1:]), t.encAll(ci.Dst)
 	t.emit(in, ci.Pos)
 	return true
 }
 
-// newIC allocates one inline-cache slot and records the site's stable
-// profile identity (owning function, per-function ordinal, kind).
-func (t *translator) newIC(indirect bool, slot int32) int32 {
+// newIC allocates one inline-cache slot.
+func (t *translator) newIC() int32 {
 	ic := int32(t.p.numICs)
 	t.p.numICs++
-	t.p.siteMeta = append(t.p.siteMeta, siteMeta{
-		fn: t.fc.idx, ord: t.nextSite, slot: slot, indirect: indirect,
-	})
-	t.nextSite++
 	return ic
 }
 
@@ -1134,7 +1117,7 @@ func (t *translator) instr(in *ir.Instr) {
 			c.args = t.encAll(in.Args)
 		}
 	case ir.OpCallVirtual:
-		e.op, e.aux, e.ic = opCallVirt, int32(in.FieldSlot), t.newIC(false, int32(in.FieldSlot))
+		e.op, e.aux, e.ic = opCallVirt, int32(in.FieldSlot), t.newIC()
 		c := t.newCold(&e)
 		c.targs = in.TypeArgs
 		if !t.closedAll(in.TypeArgs) {
@@ -1142,7 +1125,7 @@ func (t *translator) instr(in *ir.Instr) {
 		}
 		c.args, c.dsts = t.encAll(in.Args), t.encAll(in.Dst)
 	case ir.OpCallIndirect:
-		e.op, e.ic = opCallInd, t.newIC(true, -1)
+		e.op, e.ic = opCallInd, t.newIC()
 		e.a = t.enc(in.Args[0])
 		c := t.newCold(&e)
 		c.args, c.dsts = t.encAll(in.Args[1:]), t.encAll(in.Dst)

@@ -221,9 +221,6 @@ func DynTypeOf(tc *types.Cache, v Value) types.Type {
 		}
 		return tc.TupleOf(elems)
 	case *ObjVal:
-		if len(v.Class.TypeParams) > 0 && len(v.Args) > 0 {
-			return tc.ClassOf(v.Class.Def, v.Args)
-		}
 		return tc.ClassOf(v.Class.Def, v.Args)
 	case *ArrVal:
 		return tc.ArrayOf(v.Elem)

@@ -37,8 +37,7 @@ type Stats struct {
 	PureCallsRemoved int // dead calls to pure functions deleted
 	PureCallsCSEd    int // repeated deterministic calls merged
 	StackPromoted    int // non-escaping allocations relieved of heap charges
-	// Profile-guided passes (Config.Profile).
-	SpecDevirt int // virtual sites given a guarded speculative fast path
+	// Profile-guided pass (Config.Profile).
 	HotInlined int // extra inlines paid for by profile heat
 }
 
@@ -59,11 +58,9 @@ type Config struct {
 	// tests compile against.
 	Analyze bool
 	// Profile, when non-nil and non-empty, supplies a runtime execution
-	// profile for the profile-guided passes: speculative
-	// devirtualization of observed-monomorphic virtual sites (guarded,
-	// falling through to the original dispatch) and hot inlining with a
-	// raised budget. Profiles are advisory: a stale or wrong profile can
-	// cost speed, never correctness.
+	// profile for hot inlining: functions the profile marks hot get a
+	// second inlining round with a raised budget. Profiles are advisory:
+	// a stale or wrong profile can cost speed, never correctness.
 	Profile *profile.Profile
 	// Record, when non-nil, captures the per-round inline snapshots and
 	// change bits of this optimization, the replay substrate of
@@ -130,12 +127,7 @@ func Optimize(ctx context.Context, mod *ir.Module, cfg Config) (*Stats, error) {
 	if err := o.rounds(ctx, mod.Funcs, nil); err != nil {
 		return st, err
 	}
-	// Profile-guided passes run after the deterministic fold/inline
-	// rounds — so the call-site ordinals counted here match the ones the
-	// engine assigned when profiling the same optimized IR — and before
-	// the final pure-call/promotion phase, which never moves a virtual
-	// or indirect site.
-	o.pgo()
+	o.inlineHot()
 	if cfg.Analyze {
 		// Promote after all transformation: escape facts must describe
 		// the final IR. Core re-analyzes once more and ICEs on any mark

@@ -11,16 +11,15 @@ import (
 	"repro/internal/profile"
 )
 
-// The profile-guided passes are tested the way they deploy: compile
-// and optimize once, run under the profiling engine, then optimize a
-// fresh module of the same source with the recorded profile — the
-// tier-up recompile. Plus the adversarial cases: corrupted and garbage
-// profiles must never change observable behavior.
+// The profile-guided pass is tested the way it deploys: compile and
+// optimize once, run under the profiling engine, then optimize a fresh
+// module of the same source with the recorded profile — the tier-up
+// recompile. Plus the adversarial case: a garbage profile must never
+// change observable behavior.
 
-// specSource has a virtual site RTA cannot devirtualize (both A and B
-// are instantiated and both override m), but whose runtime receivers
-// are overwhelmingly the leaf class B — the speculative case.
-const specSource = `
+// pollSource has a virtual site RTA cannot devirtualize (both A and B
+// are instantiated and both override m) inside a hot loop.
+const pollSource = `
 class A { def m() -> int { return 1; } }
 class B extends A { def m() -> int { return 2; } }
 def poll(x: A) -> int { return x.m(); }
@@ -51,167 +50,20 @@ func recordProfile(t *testing.T, mod *ir.Module, cfg Config) (*profile.Profile, 
 	return e.Profile(), out.String()
 }
 
-func TestSpecDevirtTierUp(t *testing.T) {
-	cfg := Config{Analyze: true}
-	mod1 := compileNorm(t, specSource)
-	prof, want := recordProfile(t, mod1, cfg)
-	if want != "201" {
-		t.Fatalf("baseline output %q, want 201", want)
-	}
-
-	// Tier-up recompile: fresh module, same source, profile attached.
-	mod2 := compileNorm(t, specSource)
-	cfg.Profile = prof
-	st, err := Optimize(context.Background(), mod2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SpecDevirt == 0 {
-		t.Fatal("hot leaf-class site did not speculate")
-	}
-	if err := mod2.Verify(); err != nil {
-		t.Fatalf("speculated module fails verification: %v", err)
-	}
-	if got := run(t, mod2); got != want {
-		t.Fatalf("tiered output %q != untiered %q", got, want)
-	}
-	// The engine agrees with the reference interpreter on the tiered IR.
-	var out strings.Builder
-	e := engine.New(engine.Compile(mod2), interp.Options{Out: &out})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != want {
-		t.Fatalf("engine tiered output %q != %q", out.String(), want)
-	}
-}
-
-// TestSpecDevirtRejectsOverriddenBase: when the observed class has an
-// instantiated overriding subclass, the subtype guard could not
-// distinguish them, so the site must not speculate.
-func TestSpecDevirtRejectsOverriddenBase(t *testing.T) {
-	src := `
-class A { def m() -> int { return 1; } }
-class B extends A { def m() -> int { return 2; } }
-def poll(x: A) -> int { return x.m(); }
-def main() {
-	var i = 0;
-	var s = 0;
-	var a = A.new();
-	var b: A = B.new();
-	s = s + poll(b);
-	while (i < 100) { s = s + poll(a); i = i + 1; }
-	System.puti(s);
-}
-`
-	cfg := Config{Analyze: true}
-	mod1 := compileNorm(t, src)
-	prof, want := recordProfile(t, mod1, cfg)
-
-	mod2 := compileNorm(t, src)
-	cfg.Profile = prof
-	st, err := Optimize(context.Background(), mod2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SpecDevirt != 0 {
-		t.Fatalf("speculated %d sites on a base class with a live override", st.SpecDevirt)
-	}
-	if got := run(t, mod2); got != want {
-		t.Fatalf("output %q != %q", got, want)
-	}
-}
-
-// TestStaleProfileGuardsFallThrough is the adversarial case: a profile
-// whose observed class is flatly wrong for what actually flows at
-// runtime. Compilation must succeed, the speculation may well apply —
-// and every guard then fails at runtime, landing in the original
-// dispatch with identical output.
-func TestStaleProfileGuardsFallThrough(t *testing.T) {
-	// All receivers are A at runtime; B exists so RTA keeps the site
-	// polymorphic and so the lying profile names a real class.
-	src := `
-class A { def m() -> int { return 1; } }
-class B extends A { def m() -> int { return 2; } }
-def poll(x: A) -> int { return x.m(); }
-def main() {
-	var i = 0;
-	var s = 0;
-	var a = A.new();
-	var b: A = B.new();
-	if (s > 1000) { s = s + poll(b); }
-	while (i < 100) { s = s + poll(a); i = i + 1; }
-	System.puti(s);
-}
-`
-	cfg := Config{Analyze: true}
-	mod1 := compileNorm(t, src)
-	prof, want := recordProfile(t, mod1, cfg)
-
-	// Corrupt the profile: every monomorphic virtual site now claims it
-	// observed B dispatching to B.m.
-	corrupted := 0
-	for _, f := range prof.Funcs {
-		for _, s := range f.Sites {
-			if s.Kind == profile.SiteVirtual && s.Monomorphic() {
-				s.Class, s.Callee = "B", "B.m"
-				corrupted++
-			}
-		}
-	}
-	if corrupted == 0 {
-		t.Fatal("no monomorphic virtual site to corrupt; test is vacuous")
-	}
-
-	mod2 := compileNorm(t, src)
-	cfg.Profile = prof
-	st, err := Optimize(context.Background(), mod2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SpecDevirt == 0 {
-		t.Fatal("the lying profile passed module checks and should speculate")
-	}
-	if err := mod2.Verify(); err != nil {
-		t.Fatalf("speculated module fails verification: %v", err)
-	}
-	if got := run(t, mod2); got != want {
-		t.Fatalf("stale-profile output %q != %q (guards must fall through)", got, want)
-	}
-	var out strings.Builder
-	e := engine.New(engine.Compile(mod2), interp.Options{Out: &out})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != want {
-		t.Fatalf("engine stale-profile output %q != %q", out.String(), want)
-	}
-}
-
-// TestGarbageProfileIsIgnored: unknown functions, nonexistent classes,
-// and out-of-range ordinals must all skip cleanly.
+// TestGarbageProfileIsIgnored: unknown functions and out-of-range
+// branch ordinals must skip cleanly.
 func TestGarbageProfileIsIgnored(t *testing.T) {
 	prof := profile.New()
 	pf := prof.FuncFor("no_such_function")
 	pf.Calls = 1000
-	s := pf.Site(0)
-	s.Kind = profile.SiteVirtual
-	s.Hits, s.Installs = 1000, 1
-	s.Class, s.Callee = "NoSuchClass", "NoSuchClass.m"
+	pf.Branch(0).Taken = 1000
 	pm := prof.FuncFor("poll")
-	pm.Calls = 1000
-	s2 := pm.Site(99) // ordinal far past any real site
-	s2.Kind = profile.SiteVirtual
-	s2.Hits, s2.Installs = 1000, 1
-	s2.Class, s2.Callee = "A", "A.m"
+	br := pm.Branch(99) // ordinal far past any real branch
+	br.Taken, br.Back = 1000, true
 
-	mod := compileNorm(t, specSource)
-	st, err := Optimize(context.Background(), mod, Config{Analyze: true, Profile: prof})
-	if err != nil {
+	mod := compileNorm(t, pollSource)
+	if _, err := Optimize(context.Background(), mod, Config{Analyze: true, Profile: prof}); err != nil {
 		t.Fatal(err)
-	}
-	if st.SpecDevirt != 0 {
-		t.Fatalf("garbage profile speculated %d sites", st.SpecDevirt)
 	}
 	if err := mod.Verify(); err != nil {
 		t.Fatal(err)

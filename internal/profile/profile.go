@@ -3,17 +3,16 @@
 //
 // A profile is a per-program summary of what one or more runs actually
 // did: which functions were entered and how many steps they burned,
-// what every inline-cache site observed (monomorphic hits, misses,
-// the receiver class or callee that stuck), and which way every branch
-// went (with loop back-edges flagged so trip counts fall out of the
-// taken counters). The engine assigns every site and branch a dense
-// per-function ordinal in deterministic translation order, so a
-// profile recorded by one process can be matched against a fresh
-// compilation of the same source in another: keys are function names
-// plus ordinals, never pointers or hashes of a particular run.
+// and which way every branch went (with loop back-edges flagged so
+// trip counts fall out of the taken counters). The engine assigns every
+// branch a dense per-function ordinal in deterministic translation
+// order, so a profile recorded by one process can be matched against a
+// fresh compilation of the same source in another: keys are function
+// names plus ordinals, never pointers or hashes of a particular run.
 //
-// Profiles are advisory by construction. The optimizer treats every
-// entry as a hint that must be re-proven or guarded: a stale or
+// Profiles are advisory by construction. They only decide which
+// functions count as hot — where the optimizer spends a raised inlining
+// budget and the engine fuses instruction runs — so a stale or
 // mismatched profile can cost speed, never correctness.
 package profile
 
@@ -28,12 +27,6 @@ import (
 // versions it does not know rather than guess.
 const Version = 1
 
-// Site kinds — which kind of call instruction the inline cache guards.
-const (
-	SiteVirtual  = "virtual"
-	SiteIndirect = "indirect"
-)
-
 // Default hotness thresholds, shared by the engine's profile-driven
 // fusion selection and the optimizer's hot-inlining budget so "hot"
 // means the same set of functions at every tier.
@@ -41,35 +34,6 @@ const (
 	DefaultHotCalls int64 = 32
 	DefaultHotSteps int64 = 2048
 )
-
-// Site is the observed behavior of one inline-cache call site.
-type Site struct {
-	// Kind is SiteVirtual or SiteIndirect.
-	Kind string `json:"kind"`
-	// Hits counts fast-path dispatches through the installed cache.
-	Hits int64 `json:"hits"`
-	// Misses counts slow-path dispatches (cold or wrong receiver).
-	Misses int64 `json:"misses"`
-	// Installs counts cache (re)installs; Installs much greater than 1
-	// means the site is polymorphic.
-	Installs int64 `json:"installs,omitempty"`
-	// Mega is set once the engine gave up installing caches at the site.
-	Mega bool `json:"mega,omitempty"`
-	// Class is the receiver class name observed by the surviving
-	// monomorphic cache (virtual sites only). Empty when megamorphic or
-	// when merged profiles disagree.
-	Class string `json:"class,omitempty"`
-	// Callee is the resolved target function name observed by the
-	// surviving cache. Empty when megamorphic or on merge conflict.
-	Callee string `json:"callee,omitempty"`
-}
-
-// Monomorphic reports whether the site stayed on one receiver and is
-// worth a speculative guard: a surviving cache identity and a hit
-// count that dwarfs the misses.
-func (s *Site) Monomorphic() bool {
-	return s != nil && !s.Mega && s.Callee != "" && s.Hits > 0 && s.Hits >= 8*s.Misses
-}
 
 // Branch is the observed bias of one conditional branch.
 type Branch struct {
@@ -82,8 +46,8 @@ type Branch struct {
 }
 
 // Func is the profile of one IR function, keyed by the function's
-// name in the parent Profile. Sites and Branches are keyed by the
-// dense per-function ordinals the engine assigns in translation order
+// name in the parent Profile. Branches are keyed by the dense
+// per-function ordinals the engine assigns in translation order
 // (stringified, because JSON objects key by string); ordinals are
 // stable across processes.
 type Func struct {
@@ -93,7 +57,6 @@ type Func struct {
 	// the function (steps burned while the function was on top of the
 	// profile attribution, including its fused instructions).
 	Steps    int64              `json:"steps,omitempty"`
-	Sites    map[string]*Site   `json:"sites,omitempty"`
 	Branches map[string]*Branch `json:"branches,omitempty"`
 }
 
@@ -118,20 +81,6 @@ func (p *Profile) FuncFor(name string) *Func {
 	return f
 }
 
-// Site returns the site profile at ordinal ord, creating it on demand.
-func (f *Func) Site(ord int) *Site {
-	if f.Sites == nil {
-		f.Sites = map[string]*Site{}
-	}
-	k := key(ord)
-	s := f.Sites[k]
-	if s == nil {
-		s = &Site{}
-		f.Sites[k] = s
-	}
-	return s
-}
-
 // Branch returns the branch profile at ordinal ord, creating it on
 // demand.
 func (f *Func) Branch(ord int) *Branch {
@@ -147,15 +96,6 @@ func (f *Func) Branch(ord int) *Branch {
 	return b
 }
 
-// SiteAt returns the site profile at ordinal ord or nil. Read-only:
-// never allocates.
-func (f *Func) SiteAt(ord int) *Site {
-	if f == nil {
-		return nil
-	}
-	return f.Sites[key(ord)]
-}
-
 // BranchAt returns the branch profile at ordinal ord or nil.
 func (f *Func) BranchAt(ord int) *Branch {
 	if f == nil {
@@ -166,10 +106,7 @@ func (f *Func) BranchAt(ord int) *Branch {
 
 func key(ord int) string { return fmt.Sprintf("%d", ord) }
 
-// Merge folds other into p: counters add, back-edge flags or, and the
-// observed cache identity survives only when both profiles agree (a
-// conflict clears it, which downgrades the site to "not speculatable"
-// rather than guessing).
+// Merge folds other into p: counters add and back-edge flags or.
 func (p *Profile) Merge(other *Profile) {
 	if other == nil {
 		return
@@ -178,29 +115,6 @@ func (p *Profile) Merge(other *Profile) {
 		f := p.FuncFor(name)
 		f.Calls += of.Calls
 		f.Steps += of.Steps
-		for k, os := range of.Sites {
-			if f.Sites == nil {
-				f.Sites = map[string]*Site{}
-			}
-			s := f.Sites[k]
-			if s == nil {
-				s = &Site{Kind: os.Kind, Class: os.Class, Callee: os.Callee}
-				f.Sites[k] = s
-			}
-			s.Hits += os.Hits
-			s.Misses += os.Misses
-			s.Installs += os.Installs
-			s.Mega = s.Mega || os.Mega
-			if s.Class != os.Class {
-				s.Class = ""
-			}
-			if s.Callee != os.Callee {
-				s.Callee = ""
-			}
-			if s.Kind == "" {
-				s.Kind = os.Kind
-			}
-		}
 		for k, ob := range of.Branches {
 			if f.Branches == nil {
 				f.Branches = map[string]*Branch{}
@@ -223,7 +137,7 @@ func (p *Profile) Empty() bool {
 		return true
 	}
 	for _, f := range p.Funcs {
-		if f.Calls != 0 || f.Steps != 0 || len(f.Sites) != 0 || len(f.Branches) != 0 {
+		if f.Calls != 0 || f.Steps != 0 || len(f.Branches) != 0 {
 			return false
 		}
 	}

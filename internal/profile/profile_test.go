@@ -13,9 +13,7 @@ func TestEncodeStable(t *testing.T) {
 			name := []string{"alpha", "beta", "gamma"}[i]
 			f := p.FuncFor(name)
 			f.Calls = int64(10 * (i + 1))
-			s := f.Site(i)
-			s.Kind = SiteVirtual
-			s.Hits = int64(i + 1)
+			f.Steps = int64(i + 1)
 			b := f.Branch(i)
 			b.Taken = int64(i + 2)
 			b.Back = i == 1
@@ -39,11 +37,8 @@ func TestDecodeRoundTrip(t *testing.T) {
 	f := p.FuncFor("main")
 	f.Calls = 3
 	f.Steps = 99
-	s := f.Site(0)
-	s.Kind = SiteIndirect
-	s.Hits, s.Misses, s.Installs = 7, 1, 1
-	s.Callee = "Box.get"
-	f.Branch(2).Taken = 41
+	b := f.Branch(2)
+	b.Taken, b.Not, b.Back = 41, 3, true
 
 	var buf bytes.Buffer
 	if err := p.Encode(&buf); err != nil {
@@ -57,11 +52,41 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if gf == nil || gf.Calls != 3 || gf.Steps != 99 {
 		t.Fatalf("func counters lost: %+v", gf)
 	}
-	if gs := gf.SiteAt(0); gs == nil || gs.Hits != 7 || gs.Callee != "Box.get" || gs.Kind != SiteIndirect {
-		t.Fatalf("site lost: %+v", gf.SiteAt(0))
-	}
-	if gb := gf.BranchAt(2); gb == nil || gb.Taken != 41 {
+	if gb := gf.BranchAt(2); gb == nil || gb.Taken != 41 || gb.Not != 3 || !gb.Back {
 		t.Fatalf("branch lost: %+v", gf.BranchAt(2))
+	}
+}
+
+// TestDecodeIgnoresSites: version-1 profiles written before call-site
+// receiver histograms were dropped carry a "sites" block per function;
+// they still decode, with every remaining counter intact.
+func TestDecodeIgnoresSites(t *testing.T) {
+	old := `{
+  "version": 1,
+  "funcs": {
+    "poll": {
+      "calls": 101,
+      "steps": 404,
+      "sites": {
+        "0": {"kind": "virtual", "hits": 99, "misses": 2, "installs": 2, "class": "B", "callee": "B.m"}
+      },
+      "branches": {"1": {"taken": 100, "back": true}}
+    }
+  }
+}`
+	p, err := Decode(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := p.Funcs["poll"]
+	if f == nil || f.Calls != 101 || f.Steps != 404 {
+		t.Fatalf("func counters lost: %+v", f)
+	}
+	if b := f.BranchAt(1); b == nil || b.Taken != 100 || !b.Back {
+		t.Fatalf("branch lost: %+v", f.BranchAt(1))
+	}
+	if got := p.HotFuncs(DefaultHotCalls, DefaultHotSteps); len(got) != 1 || got[0] != "poll" {
+		t.Fatalf("HotFuncs = %v, want [poll]", got)
 	}
 }
 
@@ -76,25 +101,20 @@ func TestMerge(t *testing.T) {
 	a, b := New(), New()
 	af := a.FuncFor("f")
 	af.Calls = 1
-	as := af.Site(0)
-	as.Kind, as.Hits, as.Class, as.Callee = SiteVirtual, 5, "C", "C.m"
+	af.Steps = 5
 	af.Branch(0).Taken = 2
 
 	bf := b.FuncFor("f")
 	bf.Calls = 2
-	bs := bf.Site(0)
-	bs.Kind, bs.Hits, bs.Class, bs.Callee = SiteVirtual, 3, "C", "C.m"
+	bf.Steps = 3
 	bb := bf.Branch(0)
 	bb.Taken, bb.Back = 4, true
 	b.FuncFor("g").Calls = 7
 
 	a.Merge(b)
 	f := a.Funcs["f"]
-	if f.Calls != 3 {
-		t.Fatalf("calls = %d", f.Calls)
-	}
-	if s := f.SiteAt(0); s.Hits != 8 || s.Class != "C" || s.Callee != "C.m" {
-		t.Fatalf("agreeing identities should survive merge: %+v", s)
+	if f.Calls != 3 || f.Steps != 8 {
+		t.Fatalf("calls = %d, steps = %d", f.Calls, f.Steps)
 	}
 	if br := f.BranchAt(0); br.Taken != 6 || !br.Back {
 		t.Fatalf("branch merge: %+v", br)
@@ -103,30 +123,6 @@ func TestMerge(t *testing.T) {
 		t.Fatal("new func not merged")
 	}
 
-	// Disagreeing cache identities must clear, not guess.
-	c := New()
-	cs := c.FuncFor("f").Site(0)
-	cs.Kind, cs.Hits, cs.Class, cs.Callee = SiteVirtual, 1, "D", "D.m"
-	a.Merge(c)
-	if s := a.Funcs["f"].SiteAt(0); s.Class != "" || s.Callee != "" {
-		t.Fatalf("conflicting identities must clear: %+v", s)
-	}
-	if s := a.Funcs["f"].SiteAt(0); s.Monomorphic() {
-		t.Fatal("cleared site must not be Monomorphic")
-	}
-}
-
-func TestMonomorphic(t *testing.T) {
-	s := &Site{Kind: SiteVirtual, Hits: 100, Misses: 1, Callee: "C.m"}
-	if !s.Monomorphic() {
-		t.Fatal("hot mono site should qualify")
-	}
-	if (&Site{Kind: SiteVirtual, Hits: 10, Misses: 10, Callee: "C.m"}).Monomorphic() {
-		t.Fatal("poly site must not qualify")
-	}
-	if (&Site{Kind: SiteVirtual, Hits: 100, Mega: true, Callee: "C.m"}).Monomorphic() {
-		t.Fatal("mega site must not qualify")
-	}
 }
 
 func TestHotFuncs(t *testing.T) {

@@ -28,13 +28,12 @@
 // layer: tier-1 runs of a warm, optimizing, bytecode-engine program
 // record execution profiles into its cache entry; after
 // Config.TierAfter runs the merged profile drives a profile-guided
-// recompile (speculative devirtualization, hot inlining, fusion
-// selection) stored under the program's tier-2 cache key, and
-// subsequent requests serve the tiered artifact. Responses carry the
-// tier, /stats counts tier_ups and resident tiered_programs, and
-// because every speculative fast path is guarded with fall-through —
-// never a deopt trap — a tiered run is observably identical to an
-// untiered one.
+// recompile (hot inlining and run fusion in profile-hot functions)
+// stored under the program's tier-2 cache key, and subsequent requests
+// serve the tiered artifact. Responses carry the tier, and /stats
+// counts tier_ups and resident tiered_programs. Tier 2 speculates on
+// nothing — the profile only picks where to spend optimization budget —
+// so a tiered run is observably identical to an untiered one.
 //
 // Self-healing and containment (see DESIGN.md "The containment
 // model"): every /run is bounded by a modeled heap budget

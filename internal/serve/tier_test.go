@@ -8,9 +8,8 @@ import (
 )
 
 // tierProg has a virtual call site RTA cannot devirtualize (both A and
-// B are instantiated, both override m) but whose runtime receivers are
-// overwhelmingly the leaf class B — exactly the shape the profile-
-// guided recompile speculates on. Output: "201".
+// B are instantiated, both override m) inside a hot loop, the work the
+// profile-guided recompile inlines and fuses. Output: "201".
 const tierProg = `
 class A { def m() -> int { return 1; } }
 class B extends A { def m() -> int { return 2; } }
@@ -29,8 +28,8 @@ def main() {
 // TestTierUpLifecycle walks one program through the whole tier-up arc:
 // cold tier-1 compile, profiled warm runs, threshold crossing, and the
 // tier-2 artifact serving subsequent requests — with byte-identical
-// output at every step, because speculation is guarded fall-through,
-// never a behavior change.
+// output at every step, because the profile only steers optimization
+// budget, never behavior.
 func TestTierUpLifecycle(t *testing.T) {
 	s, ts := newTestServer(t, Config{TierAfter: 3})
 	req := Request{Files: files("tier.v", tierProg)}
