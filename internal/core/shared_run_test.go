@@ -15,14 +15,16 @@ import (
 // cached Compilation — one type cache — on concurrent requests. Eight
 // goroutines start together on a fresh reference (unmonomorphized)
 // compilation of each generic corpus program, so their first runs race
-// to intern the same dynamic types. Every run must match a
+// to intern the same dynamic types. query_generic_parent drives the
+// one object path that still interns: queries up a generic class
+// chain, which only reference mode has. Every run must match a
 // single-threaded run of a separate compilation of the same source.
 // Run under -race to check the locking itself.
 func TestConcurrentRunsShareTypeCache(t *testing.T) {
 	const workers = 8
 	for _, p := range testprogs.All() {
 		switch p.Name {
-		case "generic_list_d", "hashmap_i", "matcher_km", "variance_o", "sort_functional":
+		case "generic_list_d", "hashmap_i", "matcher_km", "variance_o", "sort_functional", "query_generic_parent":
 		default:
 			continue
 		}

@@ -13,9 +13,10 @@ import (
 // block, ≤16 instrs) cannot collapse its frame under Compiled().
 var trapProgs = []struct {
 	name string // expected VirgilError.Name
+	msg  string // expected VirgilError.Msg; empty skips the check
 	src  string
 }{
-	{"!NullCheckException", `
+	{"!NullCheckException", "", `
 class C {
 	var x: int;
 }
@@ -28,7 +29,7 @@ def main() -> int {
 	return deref(c);
 }
 `},
-	{"!BoundsCheckException", `
+	{"!BoundsCheckException", "", `
 def get(a: Array<int>, i: int) -> int {
 	if (i >= 0) return a[i];
 	return 0;
@@ -38,7 +39,7 @@ def main() -> int {
 	return get(a, 5);
 }
 `},
-	{"!DivideByZeroException", `
+	{"!DivideByZeroException", "", `
 def div(a: int, b: int) -> int {
 	if (b != 1) return a / b;
 	return a;
@@ -47,7 +48,7 @@ def main() -> int {
 	return div(7, 0);
 }
 `},
-	{"!TypeCheckException", `
+	{"!TypeCheckException", "", `
 def narrow(x: int) -> byte {
 	if (x > 255) return byte.!(x);
 	return byte.!(x);
@@ -56,7 +57,20 @@ def main() -> int {
 	return int.!(narrow(1000));
 }
 `},
-	{"!StackOverflow", `
+	{"!TypeCheckException", "IntBox is not a Box<bool>", `
+class Any { }
+class Box<T> extends Any { }
+class IntBox extends Box<int> { }
+def unbox(x: Any) -> Box<bool> {
+	if (x != null) return Box<bool>.!(x);
+	return null;
+}
+def main() -> int {
+	var b = unbox(IntBox.new());
+	return 0;
+}
+`},
+	{"!StackOverflow", "", `
 def spin(n: int) -> int {
 	if (n > 0) return spin(n + 1);
 	return n;
@@ -96,6 +110,9 @@ func TestTrapsCarryTraces(t *testing.T) {
 				}
 				if ve.Name != tp.name {
 					t.Errorf("[%s] trap name = %q, want %q", cfg.Name(), ve.Name, tp.name)
+				}
+				if tp.msg != "" && ve.Msg != tp.msg {
+					t.Errorf("[%s] trap message = %q, want %q", cfg.Name(), ve.Msg, tp.msg)
 				}
 				checkTrace(t, cfg, ve)
 			}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/interp"
 	"repro/internal/progen"
 )
 
@@ -28,5 +29,57 @@ func TestTranslateAllocs(t *testing.T) {
 	t.Logf("engine.Compile on progen Scale 4: %.0f allocs/run", allocs)
 	if allocs > 1690 {
 		t.Errorf("engine.Compile allocs/run = %.0f, want <= 1690: translation's allocation diet regressed", allocs)
+	}
+}
+
+// TestObjectQueryAllocs pins the allocation-free object query: a ? or !
+// on an object walks its IR class chain and compares interned types, so
+// neither engine allocates for it. Deciding it through the type cache
+// cost at least 3 allocations per query (the argument copy, the *Class
+// and the key string of the cache lookup). The loop keeps every int
+// below 256, which Go boxes without allocating, so what is left per
+// iteration is the query and the cast themselves.
+func TestObjectQueryAllocs(t *testing.T) {
+	comp, err := core.Compile("query.v", `
+class Any { }
+class Box<T> extends Any { var v: T; }
+def make() -> Any { return Box<int>.new(); }
+def probe(x: Any, n: int) -> int {
+	var s = 0;
+	for (i = 0; i < n; i++) {
+		if (Box<int>.?(x)) s = s + 1;
+		s = s + Box<int>.!(x).v;
+	}
+	return s;
+}
+def main() { System.puti(probe(make(), 1) + probe(Any.new(), 0)); }
+`, core.Compiled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iters = 200
+	type caller func(name string, args ...interp.Value) ([]interp.Value, error)
+	sw := comp.Interp(nil)
+	bc, err := comp.Engine(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]caller{"switch": sw.CallFunc, "bytecode": bc.CallFunc} {
+		res, err := call("make")
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := res[0]
+		perCall := testing.AllocsPerRun(10, func() {
+			got, err := call("probe", x, interp.IntVal(iters))
+			if err != nil || got[0] != interp.IntVal(iters) {
+				t.Fatalf("%s: probe = %v, %v; want %d", name, got, err, iters)
+			}
+		})
+		perIter := perCall / iters
+		t.Logf("%s: %.2f allocs per iteration (%.0f per call)", name, perIter, perCall)
+		if perIter >= 1 {
+			t.Errorf("%s: %.2f Go allocs per query-and-cast iteration (%.0f per %d-iteration call), want < 1", name, perIter, perCall, iters)
+		}
 	}
 }

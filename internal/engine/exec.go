@@ -1038,7 +1038,7 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			}
 			fields := make([]interp.Value, len(cd.tmpl))
 			copy(fields, cd.tmpl)
-			r[slotOf(ins.dst)] = &interp.ObjVal{Class: cd.cls, Args: cd.targs, Fields: fields}
+			r[slotOf(ins.dst)] = &interp.ObjVal{Class: cd.cls, Type: cd.typ.(*types.Class), Fields: fields}
 		case opNewObjO:
 			cd := &fn.cold[ins.cold]
 			ct := e.subst(cd.typ, env).(*types.Class)
@@ -1054,7 +1054,7 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			tmpl := e.objTemplate(cls, ct)
 			fields := make([]interp.Value, len(tmpl))
 			copy(fields, tmpl)
-			r[slotOf(ins.dst)] = &interp.ObjVal{Class: cls, Args: ct.Args, Fields: fields}
+			r[slotOf(ins.dst)] = &interp.ObjVal{Class: cls, Type: ct, Fields: fields}
 		case opFieldLoad:
 			obj, ok := getv(s, r, ins.a).(*interp.ObjVal)
 			if !ok {

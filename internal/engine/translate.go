@@ -1026,7 +1026,7 @@ func (t *translator) instr(in *ir.Instr) {
 				c.xerr = fmt.Errorf("interp: %s: new of non-class type %s", fname, in.Type)
 				break
 			}
-			e.op, e.dst, c.targs = opNewObjC, t.dst0(in), ct.Args
+			e.op, e.dst, c.typ = opNewObjC, t.dst0(in), ct
 			cls, err := t.p.classFor(ct)
 			if err != nil {
 				c.xerr = err

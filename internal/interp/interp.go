@@ -533,7 +533,7 @@ func (i *Interp) exec(f *ir.Func, args []Value, targs []types.Type) ([]Value, er
 			tmpl := i.fieldTemplate(cls, ct)
 			fields := make([]Value, len(tmpl))
 			copy(fields, tmpl)
-			regs[in.Dst[0].ID] = &ObjVal{Class: cls, Args: ct.Args, Fields: fields}
+			regs[in.Dst[0].ID] = &ObjVal{Class: cls, Type: ct, Fields: fields}
 		case ir.OpFieldLoad:
 			obj, err := i.objArg(f, in, get(in.Args[0]))
 			if err != nil {

@@ -14,9 +14,25 @@ import (
 // casts, queries, builtins, and closure typing, so the logic lives here
 // once, as package-level functions over explicit inputs.
 
-// EvalQuery implements the universal ? operator on dynamic values.
+// EvalQuery implements the universal ? operator on dynamic values. An
+// object is decided by walking its IR class chain and comparing each
+// class's interned Type with to: an object's only supertypes are its
+// class's ancestors, exactly, so the walk takes no lock. Only a generic
+// IR class, which exists in reference mode alone, sends the rest of the
+// question to tc.
 func EvalQuery(tc *types.Cache, v Value, to types.Type) bool {
-	if _, isNull := v.(NullVal); isNull {
+	switch v := v.(type) {
+	case NullVal:
+		return false
+	case *ObjVal:
+		for w := v.Class; w != nil; w = w.Parent {
+			if len(w.TypeParams) > 0 {
+				return tc.IsSubtype(v.Type, to)
+			}
+			if w.Type == to {
+				return true
+			}
+		}
 		return false
 	}
 	return tc.IsSubtype(DynTypeOf(tc, v), to)
@@ -245,7 +261,7 @@ func ClassArgsFromRecv(tc *types.Cache, fn *ir.Func, recv *ObjVal) []types.Type 
 	if fn.NumClassParams == 0 {
 		return nil
 	}
-	w := tc.ClassOf(recv.Class.Def, recv.Args)
+	w := recv.Type
 	for w != nil && w.Def != fn.Class.Def {
 		w = tc.ParentOf(w)
 	}

@@ -50,12 +50,13 @@ type TupleVal []Value
 
 func (TupleVal) valueKind() string { return "tuple" }
 
-// ObjVal is a class instance. Args is the closed instantiation of the
-// class's type parameters (empty after monomorphization, where Class
-// itself is the specialized class).
+// ObjVal is a class instance. Type is its exact, closed, interned class
+// type, fixed at allocation. After monomorphization Class is the
+// specialized class and Type equals Class.Type; in reference mode Class
+// is the generic class and Type carries its instantiation.
 type ObjVal struct {
 	Class  *ir.Class
-	Args   []types.Type
+	Type   *types.Class
 	Fields []Value
 }
 
@@ -201,7 +202,8 @@ func ValueEq(a, b Value) bool {
 }
 
 // DynTypeOf computes the dynamic type of a value for reified casts and
-// queries (§2.2, d13-d14).
+// queries (§2.2, d13-d14). An object's type is the one it was allocated
+// with; tuples and arrays still intern theirs through tc.
 func DynTypeOf(tc *types.Cache, v Value) types.Type {
 	switch v := v.(type) {
 	case IntVal:
@@ -221,7 +223,7 @@ func DynTypeOf(tc *types.Cache, v Value) types.Type {
 		}
 		return tc.TupleOf(elems)
 	case *ObjVal:
-		return tc.ClassOf(v.Class.Def, v.Args)
+		return v.Type
 	case *ArrVal:
 		return tc.ArrayOf(v.Elem)
 	case *FuncVal:

@@ -132,9 +132,10 @@ func TestPropValueEqReflexiveSymmetric(t *testing.T) {
 func TestDynTypeOf(t *testing.T) {
 	tc := types.NewCache()
 	def := tc.NewClassDef("Box", []*types.TypeParamDef{tc.NewTypeParamDef("T", 0, nil)}, nil)
-	cls := &ir.Class{Name: "Box", Def: def}
-	obj := &ObjVal{Class: cls, Args: []types.Type{tc.Int()}}
-	if got := DynTypeOf(tc, obj); got != tc.ClassOf(def, []types.Type{tc.Int()}) {
+	cls := &ir.Class{Name: "Box", Def: def, TypeParams: def.TypeParams, Type: tc.SelfType(def)}
+	boxInt := tc.ClassOf(def, []types.Type{tc.Int()})
+	obj := &ObjVal{Class: cls, Type: boxInt}
+	if got := DynTypeOf(tc, obj); got != boxInt {
 		t.Errorf("DynTypeOf(obj) = %v", got)
 	}
 	tv := TupleVal{IntVal(1), BoolVal(true)}

@@ -595,6 +595,31 @@ def main() {
 	System.puts("()ok");
 }
 `},
+		{Name: "query_generic_parent", Paper: "§4.3 (queries on generic parents)", Want: "51113", Source: `
+class Any { }
+class Box<T> extends Any { }
+class IntBox extends Box<int> { }
+class Pair<A, B> extends Box<A> { }
+def main() {
+	var a = Array<Any>.new(5);
+	a[0] = Any.new();
+	a[1] = Box<int>.new();
+	a[2] = Box<bool>.new();
+	a[3] = IntBox.new();
+	a[4] = Pair<int, bool>.new();
+	var sum = 0;
+	for (i = 0; i < a.length; i++) {
+		var x = a[i];
+		if (Box<int>.?(x)) sum = sum + 1;
+		if (Box<bool>.?(x)) sum = sum + 10;
+		if (IntBox.?(x)) sum = sum + 100;
+		if (Pair<int, bool>.?(x)) sum = sum + 1000;
+		if (Any.?(x)) sum = sum + 10000;
+		if (Pair<bool, bool>.?(x)) sum = sum + 100000;
+	}
+	System.puti(sum);
+}
+`},
 		churn(BenchClosureChurn(64), "1440"),
 		churn(BenchObjectChurn(64), "2240"),
 	}

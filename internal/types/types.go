@@ -166,10 +166,12 @@ func (e *Enum) String() string { return e.Def.Name }
 //
 // All exported methods are safe for concurrent use. The compiler
 // pipeline is sequential, but the engines intern types at run time
-// (dynamic types of values, closure types, substituted field types of
-// generic classes), and one compiled Compilation — and so one cache —
-// is run by many goroutines at once: serve executes a warm cached
-// artifact for concurrent requests. Every method that reads or writes
+// (dynamic types of tuples and arrays, closure types, substitutions of
+// open types, and reference-mode queries up a generic class chain;
+// objects carry their own class type and do not intern), and one
+// compiled Compilation — and so one cache — is run by many goroutines
+// at once: serve executes a warm cached artifact for concurrent
+// requests. Every method that reads or writes
 // the interning tables therefore takes mu and delegates to an
 // unexported, lock-free twin. The unexported twins may call each other
 // but never an exported method — the lock is not reentrant.
