@@ -42,12 +42,13 @@
 // program; exceeding it raises the deterministic !HeapExhausted trap.
 //
 // profile runs the program with output discarded and prints the
-// recorded execution profile as stable JSON; run -profile-out=file
-// does the same while keeping
-// the program's output. -profile-in feeds a recorded profile back into
-// the compile for profile-guided optimization: hot inlining with a
-// raised budget and run fusion in profile-hot functions — a stale
-// profile can cost speed, never correctness.
+// recorded execution profile (per-function call and step counters) as
+// stable JSON; run -profile-out=file does the same while keeping the
+// program's output. Both need the bytecode engine and exit 1 under
+// -engine switch before compiling. -profile-in feeds a recorded
+// profile back into the compile for profile-guided optimization: hot
+// inlining with a raised budget and run fusion in profile-hot
+// functions — a stale profile can cost speed, never correctness.
 //
 // Exit codes: 0 success; 1 source diagnostics, Virgil trap, resource
 // exhaustion, or lint findings under -lint-strict; 2 usage error or
@@ -141,8 +142,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if !*analyze {
 		cfg.Analyze = false
 	}
-	if cmd == "profile" || (*profileOut != "" && cmd == "run") {
-		cfg.Profile = true
+	if (cmd == "profile" || (*profileOut != "" && cmd == "run")) && cfg.Engine == core.EngineSwitch {
+		fmt.Fprintln(stderr, "virgil: profiling requires the bytecode engine; the switch interpreter records no profiles")
+		return exitDiag
 	}
 	if *profileIn != "" {
 		f, err := os.Open(*profileIn)

@@ -326,6 +326,9 @@ def main() {
 	if !strings.Contains(prof1, `"version": 1`) || !strings.Contains(prof1, `"calls": 100`) {
 		t.Fatalf("profile JSON missing expected fields:\n%s", prof1)
 	}
+	if strings.Contains(prof1, `"branches"`) {
+		t.Fatalf("profile JSON carries branch counters:\n%s", prof1)
+	}
 	dir := t.TempDir()
 	pf := filepath.Join(dir, "p.json")
 	if err := os.WriteFile(pf, []byte(prof1), 0o644); err != nil {
@@ -351,6 +354,14 @@ def main() {
 
 	if code, _, stderr := exec("profile", "-engine", "switch", p); code != exitDiag || !strings.Contains(stderr, "bytecode") {
 		t.Errorf("profile -engine switch: exit %d stderr %q, want rejection naming the bytecode engine", code, stderr)
+	}
+	pf3 := filepath.Join(dir, "p3.json")
+	code, out, stderr = exec("run", "-profile-out", pf3, "-engine", "switch", p)
+	if code != exitDiag || out != "" || !strings.Contains(stderr, "bytecode") {
+		t.Errorf("run -profile-out -engine switch: exit %d out %q stderr %q, want exit 1, no output and a rejection naming the bytecode engine", code, out, stderr)
+	}
+	if _, err := os.Stat(pf3); !os.IsNotExist(err) {
+		t.Errorf("run -profile-out -engine switch created %s (stat err %v)", pf3, err)
 	}
 	garbage := filepath.Join(dir, "garbage.json")
 	if err := os.WriteFile(garbage, []byte(`{"version": 99}`), 0o644); err != nil {

@@ -85,13 +85,6 @@ type Config struct {
 	// Validate error).
 	MaxErrors int
 
-	// Profile makes every run on this Compilation record an execution
-	// profile (per-function invocation and step counters, branch
-	// biases), retrievable via RunProfiled. Only the bytecode engine
-	// collects profiles, so Profile with Engine=="switch" is a Validate
-	// error. Off, runs pay zero profiling overhead.
-	Profile bool
-
 	// PGO, when non-nil, feeds a previously recorded profile into the
 	// compile: the optimizer spends a raised inlining budget on
 	// profile-hot functions, and the bytecode translator fuses
@@ -182,9 +175,6 @@ func (c Config) Validate() error {
 	case "", EngineBytecode, EngineSwitch:
 	default:
 		return fmt.Errorf("core: Engine must be %q or %q, got %q", EngineBytecode, EngineSwitch, c.Engine)
-	}
-	if c.Profile && c.Engine == EngineSwitch {
-		return fmt.Errorf("core: Profile requires the bytecode engine; the switch interpreter records no profiles")
 	}
 	if c.PGO != nil && !c.Optimize {
 		return fmt.Errorf("core: PGO requires Optimize")
@@ -627,7 +617,6 @@ func (c *Compilation) options(ctx context.Context, w io.Writer) interp.Options {
 		MaxDepth: c.Config.MaxDepth,
 		MaxHeap:  c.Config.MaxHeap,
 		Timeout:  c.Config.Timeout,
-		Profile:  c.Config.Profile,
 		Ctx:      ctx,
 	}
 }
@@ -729,38 +718,32 @@ type RunOpts struct {
 	// after a bytecode-engine fault, and to pin quarantined programs to
 	// the reference engine.
 	Engine string
-	// Profile turns on profile recording for this run (bytecode engine
-	// only; the switch interpreter ignores it). The recorded profile is
-	// returned by RunProfiled; plain RunWith discards it.
-	Profile bool
 }
 
 // RunWith executes the compiled module writing System output to w,
 // with per-run overrides applied.
 func (c *Compilation) RunWith(ctx context.Context, w io.Writer, opts RunOpts) (interp.Stats, error) {
-	stats, _, err := c.runWith(ctx, w, opts)
+	stats, _, err := c.runWith(ctx, w, opts, false)
 	return stats, err
 }
 
-// RunProfiled is RunWith with profile recording forced on, returning
-// the execution profile the bytecode engine collected alongside the
-// run's stats. The profile is nil when the run never reached the
-// engine (a switch-engine override, or a fault before execution).
+// RunProfiled is RunWith with profile recording on, returning the
+// execution profile (per-function call and step counters) the bytecode
+// engine collected alongside the run's stats. The profile is nil when
+// the run never reached the engine (a switch-engine config or
+// override, or a fault before execution).
 func (c *Compilation) RunProfiled(ctx context.Context, w io.Writer, opts RunOpts) (interp.Stats, *profile.Profile, error) {
-	opts.Profile = true
-	return c.runWith(ctx, w, opts)
+	return c.runWith(ctx, w, opts, true)
 }
 
-func (c *Compilation) runWith(ctx context.Context, w io.Writer, opts RunOpts) (interp.Stats, *profile.Profile, error) {
+func (c *Compilation) runWith(ctx context.Context, w io.Writer, opts RunOpts, record bool) (interp.Stats, *profile.Profile, error) {
 	o := c.options(ctx, w)
+	o.Profile = record
 	if opts.MaxSteps != 0 {
 		o.MaxSteps = opts.MaxSteps
 	}
 	if opts.MaxHeap != 0 {
 		o.MaxHeap = opts.MaxHeap
-	}
-	if opts.Profile {
-		o.Profile = true
 	}
 	kind := c.Config.EngineKind()
 	if opts.Engine != "" {

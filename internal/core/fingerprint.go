@@ -41,9 +41,6 @@ var storeKeyFields = map[string]bool{
 	"Jobs": false,
 	// VerifyIR adds assertions between stages; it never rewrites IR.
 	"VerifyIR": false,
-	// Profile arms runtime profiling on the Compilation; compile output
-	// is untouched (only runs differ).
-	"Profile": false,
 	// Runtime budgets, applied per run.
 	"MaxSteps": false,
 	"MaxDepth": false,

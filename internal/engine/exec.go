@@ -61,25 +61,14 @@ type icEntry struct {
 const megaInstalls = 4
 
 // recorder holds the engine's profile counters, dense-indexed by the
-// program's deterministic branch/function numbering. nil unless
-// the engine was created with Options.Profile, so the only cost on an
-// unprofiled run is a nil check at the recording points.
+// program's deterministic function numbering. nil unless the engine
+// was created with Options.Profile, so the only cost on an unprofiled
+// run is a nil check at the recording points.
 type recorder struct {
-	branches []branchCnt
-	fns      []fnCnt
+	fns []fnCnt
 }
-
-type branchCnt struct{ taken, not int64 }
 
 type fnCnt struct{ calls, steps int64 }
-
-func (rec *recorder) branch(idx int32, taken bool) {
-	if taken {
-		rec.branches[idx].taken++
-	} else {
-		rec.branches[idx].not++
-	}
-}
 
 // frame is one activation on the engine's call stack: the function and
 // the pc it is executing, or -1 before its first instruction. Source
@@ -168,10 +157,7 @@ func New(p *Program, opts interp.Options) *Engine {
 		e.done = opts.Ctx.Done()
 	}
 	if opts.Profile {
-		e.rec = &recorder{
-			branches: make([]branchCnt, p.numBranches),
-			fns:      make([]fnCnt, len(p.pnames)),
-		}
+		e.rec = &recorder{fns: make([]fnCnt, len(p.pnames))}
 	}
 	return e
 }
@@ -180,12 +166,11 @@ func New(p *Program, opts interp.Options) *Engine {
 func (e *Engine) Stats() interp.Stats { return e.stats }
 
 // Profile snapshots the execution profile recorded so far, or nil when
-// the engine was created without Options.Profile. Keys follow the
-// program's deterministic translation numbering, so profiles recorded
-// by different processes for the same program are directly
-// comparable and mergeable. Not safe to call
-// concurrently with a running engine — snapshot after the run, like
-// Stats.
+// the engine was created without Options.Profile. Keys are the
+// program's deterministic profile names, so profiles recorded by
+// different processes for the same program are directly comparable
+// and mergeable. Not safe to call concurrently with a running engine —
+// snapshot after the run, like Stats.
 func (e *Engine) Profile() *profile.Profile {
 	if e.rec == nil {
 		return nil
@@ -199,15 +184,6 @@ func (e *Engine) Profile() *profile.Profile {
 		f := p.FuncFor(e.p.pnames[idx])
 		f.Calls = fr.calls
 		f.Steps = fr.steps
-	}
-	for bi := range e.rec.branches {
-		br := &e.rec.branches[bi]
-		if br.taken == 0 && br.not == 0 {
-			continue
-		}
-		m := e.p.branchMeta[bi]
-		b := p.FuncFor(e.p.pnames[m.fn]).Branch(m.ord)
-		b.Taken, b.Not, b.Back = br.taken, br.not, m.back
 	}
 	return p
 }
@@ -914,9 +890,6 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 
 		case opBranchS:
 			c := s[slotOf(ins.a)] != 0
-			if e.rec != nil {
-				e.rec.branch(ins.ic, c)
-			}
 			if c {
 				pc = int(ins.t1)
 			} else {
@@ -928,9 +901,6 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			if !ok {
 				return 0, fmt.Errorf("interp: %s: branch on non-bool", fn.name)
 			}
-			if e.rec != nil {
-				e.rec.branch(ins.ic, bool(c))
-			}
 			if c {
 				pc = int(ins.t1)
 			} else {
@@ -939,9 +909,6 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			continue
 		case opCmpBrSS:
 			c := cmpSlots(ir.Op(ins.aux), s[slotOf(ins.a)], s[slotOf(ins.b)])
-			if e.rec != nil {
-				e.rec.branch(ins.ic, c)
-			}
 			if c {
 				pc = int(ins.t1)
 			} else {
@@ -950,9 +917,6 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 			continue
 		case opCmpBrSI:
 			c := cmpSlots(ir.Op(ins.aux), s[slotOf(ins.a)], ins.imm)
-			if e.rec != nil {
-				e.rec.branch(ins.ic, c)
-			}
 			if c {
 				pc = int(ins.t1)
 			} else {
@@ -973,9 +937,6 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 				c = cmpSlots(ir.Op(ins.aux), s[slotOf(ins.a)], s[slotOf(ins.b)])
 			default:
 				c = cmpSlots(ir.Op(ins.aux), s[slotOf(ins.a)], ins.imm)
-			}
-			if e.rec != nil {
-				e.rec.branch(ins.ic, c)
 			}
 			if c {
 				pc = int(ins.t1)

@@ -106,7 +106,7 @@ def main() {
 	}
 }
 
-func TestProfileFuncAndBranchCounters(t *testing.T) {
+func TestProfileFuncCounters(t *testing.T) {
 	mod := compileMod(t, `
 def work(n: int) -> int {
 	var i = 0;
@@ -131,19 +131,6 @@ def main() { System.puti(work(100)); }
 	}
 	if wf.Steps < 100 {
 		t.Errorf("work steps = %d, want at least the loop trip count", wf.Steps)
-	}
-	// The loop condition branch must show ~100 takes with a heavy bias.
-	var best *profile.Branch
-	for _, b := range wf.Branches {
-		if best == nil || b.Taken+b.Not > best.Taken+best.Not {
-			best = b
-		}
-	}
-	if best == nil {
-		t.Fatal("no branch recorded in work")
-	}
-	if best.Taken+best.Not < 100 {
-		t.Errorf("hottest branch saw %d outcomes, want >= 100", best.Taken+best.Not)
 	}
 	if prof.Funcs["main"] == nil {
 		t.Error("main not in profile")

@@ -206,15 +206,6 @@ type fnCode struct {
 	idx      int // dense function index (profile counters, pnames)
 }
 
-// brMeta is the static identity of one conditional branch. back marks
-// a branch with an edge to an already-translated block — a loop edge,
-// so its taken counter approximates the trip count.
-type brMeta struct {
-	fn   int
-	ord  int
-	back bool
-}
-
 // Program is an immutable translated module, shareable across
 // concurrently running Engines (per-engine mutable state — globals,
 // inline caches, stats — lives in Engine).
@@ -230,12 +221,10 @@ type Program struct {
 	classByTyp map[*types.Class]*ir.Class
 	maxRet     int
 
-	// Profile identity: deterministic dense numbering of functions and
-	// branches, so runtime counters recorded against this program can be
+	// Profile identity: the deterministic profile name of each function,
+	// so the call and step counters recorded against this program are
 	// exported under stable keys.
-	numBranches int
-	branchMeta  []brMeta
-	pnames      []string // profile name per fnCode.idx
+	pnames []string // profile name per fnCode.idx
 	// hotFns gates profile-driven run fusion: only functions the input
 	// profile marked hot get fused, so an unprofiled compile of the
 	// same module produces byte-identical bytecode to previous releases.
@@ -263,14 +252,6 @@ func scalarKind(t types.Type) (uint32, bool) {
 	}
 	return 0, false
 }
-
-// Hot-function thresholds for profile-driven fusion: a function is
-// worth fusing when the profile saw it called this often or burning
-// this many steps (tight loops run hot without being re-entered).
-const (
-	hotMinCalls = profile.DefaultHotCalls
-	hotMinSteps = profile.DefaultHotSteps
-)
 
 // Compile translates mod to register bytecode. The result is
 // deterministic for a given module and safe for concurrent use.
@@ -309,7 +290,7 @@ func CompileProfiled(mod *ir.Module, prof *profile.Profile) *Program {
 	}
 	if prof != nil && !prof.Empty() {
 		p.hotFns = map[string]bool{}
-		for _, name := range prof.HotFuncs(hotMinCalls, hotMinSteps) {
+		for _, name := range prof.HotFuncs() {
 			p.hotFns[name] = true
 		}
 	}
@@ -424,7 +405,6 @@ type translator struct {
 	hot     bool
 	pend    []einstr
 	pendPos []src.Pos
-	nextBr  int // per-function branch ordinal
 }
 
 type fixup struct {
@@ -437,7 +417,6 @@ type fixup struct {
 func (t *translator) translate(f *ir.Func, fc *fnCode) {
 	t.f, t.fc = f, fc
 	t.fixes, t.cold = t.fixes[:0], t.cold[:0]
-	t.nextBr = 0
 	t.hot = t.p.hotFns[t.p.pnames[fc.idx]]
 	t.reads = resize(t.reads, f.NumRegs(), 0)
 	t.start = resize(t.start, f.NumBlocks(), -1)
@@ -597,7 +576,7 @@ func (t *translator) emit(in einstr, pos src.Pos) int {
 		if len(t.pend) > 0 {
 			if k, ok := brKind(in.op); ok && len(t.pend) >= minFuseBr {
 				f := einstr{op: opFusedBr, k: k, nsteps: in.nsteps,
-					a: in.a, b: in.b, imm: in.imm, aux: in.aux, ic: in.ic}
+					a: in.a, b: in.b, imm: in.imm, aux: in.aux}
 				t.fuse(&f)
 				return t.push(f, pos)
 			}
@@ -786,8 +765,7 @@ func (t *translator) fuseCmpBrI(c, cmp, br *ir.Instr) bool {
 		return false
 	}
 	pc := t.emit(einstr{op: opCmpBrSI, nsteps: 3, a: ea,
-		imm: int64(int32(c.IVal)), aux: int32(cmp.Op),
-		ic: t.newBr(br.Blocks[0], br.Blocks[1])}, cmp.Pos)
+		imm: int64(int32(c.IVal)), aux: int32(cmp.Op)}, cmp.Pos)
 	t.target(pc, 1, br.Blocks[0])
 	t.target(pc, 2, br.Blocks[1])
 	return true
@@ -807,8 +785,7 @@ func (t *translator) fuseCmpBr(cmp, br *ir.Instr) bool {
 		return false
 	}
 	pc := t.emit(einstr{op: opCmpBrSS, nsteps: 2, a: t.enc(cmp.Args[0]),
-		b: t.enc(cmp.Args[1]), aux: int32(cmp.Op),
-		ic: t.newBr(br.Blocks[0], br.Blocks[1])}, cmp.Pos)
+		b: t.enc(cmp.Args[1]), aux: int32(cmp.Op)}, cmp.Pos)
 	t.target(pc, 1, br.Blocks[0])
 	t.target(pc, 2, br.Blocks[1])
 	return true
@@ -867,18 +844,6 @@ func (t *translator) newIC() int32 {
 	ic := int32(t.p.numICs)
 	t.p.numICs++
 	return ic
-}
-
-// newBr allocates one branch-profile slot. A branch whose target block
-// was already translated is a loop edge (blocks translate in order).
-func (t *translator) newBr(taken, not *ir.Block) int32 {
-	idx := int32(t.p.numBranches)
-	t.p.numBranches++
-	t.p.branchMeta = append(t.p.branchMeta, brMeta{
-		fn: t.fc.idx, ord: t.nextBr, back: t.startOf(taken) >= 0 || t.startOf(not) >= 0,
-	})
-	t.nextBr++
-	return idx
 }
 
 // instr translates one IR instruction to one bytecode instruction.
@@ -1215,7 +1180,6 @@ func (t *translator) instr(in *ir.Instr) {
 		} else {
 			e.op, e.a = opBranchR, a
 		}
-		e.ic = t.newBr(in.Blocks[0], in.Blocks[1])
 		pc := t.emit(e, in.Pos)
 		t.target(pc, 1, in.Blocks[0])
 		t.target(pc, 2, in.Blocks[1])

@@ -6,11 +6,11 @@ import (
 )
 
 // The profile-guided pass. A runtime profile (package profile) names
-// functions deterministically and branches by per-function ordinals, so a
-// profile recorded by one process can steer a fresh compilation of the
-// same source in another. Profiles are advisory by construction: they
-// only pick which functions get a larger inlining budget, so a stale or
-// adversarially wrong profile can cost speed, never correctness.
+// functions deterministically, so a profile recorded by one process can
+// steer a fresh compilation of the same source in another. Profiles are
+// advisory by construction: they only pick which functions get a larger
+// inlining budget, so a stale or adversarially wrong profile can cost
+// speed, never correctness.
 //
 // When Config.Profile is set, functions the profile marks hot get a
 // second inlining round with a raised size budget, so calls the
@@ -37,7 +37,7 @@ func (o *optimizer) inlineHot() {
 		return
 	}
 	hotNames := map[string]bool{}
-	for _, name := range prof.HotFuncs(profile.DefaultHotCalls, profile.DefaultHotSteps) {
+	for _, name := range prof.HotFuncs() {
 		hotNames[name] = true
 	}
 	fns, names := profile.Walk(o.mod)

@@ -10,7 +10,7 @@ import (
 // discovery order the bytecode engine translates in — module-listed
 // functions, init, main, vtable entries, then anything referenced from
 // an instruction — and, index-aligned with it, each function's unique
-// profile name. Profile branch ordinals are assigned along this
+// profile name. Duplicate names are told apart in the order of this
 // walk, so every consumer of a profile (the engine that records it,
 // the optimizer that applies it) must enumerate and name functions the
 // same way; keeping the walk here keeps them from drifting apart.

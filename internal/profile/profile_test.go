@@ -14,9 +14,6 @@ func TestEncodeStable(t *testing.T) {
 			f := p.FuncFor(name)
 			f.Calls = int64(10 * (i + 1))
 			f.Steps = int64(i + 1)
-			b := f.Branch(i)
-			b.Taken = int64(i + 2)
-			b.Back = i == 1
 		}
 		return p
 	}
@@ -37,8 +34,6 @@ func TestDecodeRoundTrip(t *testing.T) {
 	f := p.FuncFor("main")
 	f.Calls = 3
 	f.Steps = 99
-	b := f.Branch(2)
-	b.Taken, b.Not, b.Back = 41, 3, true
 
 	var buf bytes.Buffer
 	if err := p.Encode(&buf); err != nil {
@@ -52,15 +47,13 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if gf == nil || gf.Calls != 3 || gf.Steps != 99 {
 		t.Fatalf("func counters lost: %+v", gf)
 	}
-	if gb := gf.BranchAt(2); gb == nil || gb.Taken != 41 || gb.Not != 3 || !gb.Back {
-		t.Fatalf("branch lost: %+v", gf.BranchAt(2))
-	}
 }
 
-// TestDecodeIgnoresSites: version-1 profiles written before call-site
-// receiver histograms were dropped carry a "sites" block per function;
-// they still decode, with every remaining counter intact.
-func TestDecodeIgnoresSites(t *testing.T) {
+// TestDecodeIgnoresSitesAndBranches: version-1 profiles written before
+// the call-site receiver histograms and the branch counters were
+// dropped carry "sites" and "branches" blocks per function; they still
+// decode, with the call and step counters intact.
+func TestDecodeIgnoresSitesAndBranches(t *testing.T) {
 	old := `{
   "version": 1,
   "funcs": {
@@ -82,10 +75,7 @@ func TestDecodeIgnoresSites(t *testing.T) {
 	if f == nil || f.Calls != 101 || f.Steps != 404 {
 		t.Fatalf("func counters lost: %+v", f)
 	}
-	if b := f.BranchAt(1); b == nil || b.Taken != 100 || !b.Back {
-		t.Fatalf("branch lost: %+v", f.BranchAt(1))
-	}
-	if got := p.HotFuncs(DefaultHotCalls, DefaultHotSteps); len(got) != 1 || got[0] != "poll" {
+	if got := p.HotFuncs(); len(got) != 1 || got[0] != "poll" {
 		t.Fatalf("HotFuncs = %v, want [poll]", got)
 	}
 }
@@ -102,13 +92,10 @@ func TestMerge(t *testing.T) {
 	af := a.FuncFor("f")
 	af.Calls = 1
 	af.Steps = 5
-	af.Branch(0).Taken = 2
 
 	bf := b.FuncFor("f")
 	bf.Calls = 2
 	bf.Steps = 3
-	bb := bf.Branch(0)
-	bb.Taken, bb.Back = 4, true
 	b.FuncFor("g").Calls = 7
 
 	a.Merge(b)
@@ -116,25 +103,23 @@ func TestMerge(t *testing.T) {
 	if f.Calls != 3 || f.Steps != 8 {
 		t.Fatalf("calls = %d, steps = %d", f.Calls, f.Steps)
 	}
-	if br := f.BranchAt(0); br.Taken != 6 || !br.Back {
-		t.Fatalf("branch merge: %+v", br)
-	}
 	if a.Funcs["g"] == nil || a.Funcs["g"].Calls != 7 {
 		t.Fatal("new func not merged")
 	}
-
 }
 
+// TestHotFuncs: a function is hot when it is called at least
+// DefaultHotCalls times or burns at least DefaultHotSteps steps; one
+// below both thresholds is cold.
 func TestHotFuncs(t *testing.T) {
 	p := New()
-	p.FuncFor("cold").Calls = 1
-	p.FuncFor("hotcalls").Calls = 500
-	lf := p.FuncFor("hotloop")
-	lf.Calls = 1
-	br := lf.Branch(0)
-	br.Taken, br.Back = 10000, true
-	got := p.HotFuncs(100, 1000)
-	want := []string{"hotcalls", "hotloop"}
+	cold := p.FuncFor("cold")
+	cold.Calls, cold.Steps = DefaultHotCalls-1, DefaultHotSteps-1
+	p.FuncFor("hotcalls").Calls = DefaultHotCalls
+	loop := p.FuncFor("hotsteps")
+	loop.Calls, loop.Steps = 1, DefaultHotSteps
+	got := p.HotFuncs()
+	want := []string{"hotcalls", "hotsteps"}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("HotFuncs = %v, want %v", got, want)
 	}

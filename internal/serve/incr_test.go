@@ -87,7 +87,6 @@ func TestCacheKeyCoversConfig(t *testing.T) {
 	// observable behavior:
 	irrelevant := map[string]string{
 		"VerifyIR": "debug-only IR audit between stages; on success the module is identical",
-		"Profile":  "attaches a per-run profiler; compiled code is unchanged",
 		"PGO":      "tiered recompiles are keyed by the tier byte, never by profile contents",
 		"MaxSteps": "run-time step budget, applied per request at RunToContext",
 		"MaxDepth": "run-time call-depth budget, applied at execution",
