@@ -34,7 +34,8 @@ func TestCorpusAllConfigs(t *testing.T) {
 
 // TestCompiledModeIsClean verifies the paper's compiled-form claims in
 // one place: no runtime type bindings (§4.3), no boxed tuples and no
-// tuple-packing adaptations (§4.2).
+// tuple-packing adaptations (§4.2), and no dynamic calling-convention
+// checks (§4.1).
 func TestCompiledModeIsClean(t *testing.T) {
 	for _, p := range testprogs.All() {
 		comp, err := Compile(p.Name+".v", p.Source, Compiled())
@@ -54,6 +55,9 @@ func TestCompiledModeIsClean(t *testing.T) {
 		}
 		if st.AdaptPacks != 0 {
 			t.Errorf("%s: %d tuple-packing adaptations in compiled mode", p.Name, st.AdaptPacks)
+		}
+		if st.AdaptChecks != 0 {
+			t.Errorf("%s: %d dynamic arity checks in compiled mode", p.Name, st.AdaptChecks)
 		}
 	}
 }

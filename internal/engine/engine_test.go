@@ -238,6 +238,38 @@ def main() {
 	}
 }
 
+// TestNormalizedModuleNeverAdapts runs the §4.1 ambiguity, an
+// indirect call passing two values to a function that takes one tuple,
+// first as it is, where the engine adapts by packing the tuple, and
+// then marked normalized. There ir.Verify would have rejected the
+// module, so the engine must report an internal error, not adapt.
+func TestNormalizedModuleNeverAdapts(t *testing.T) {
+	mod := compileMod(t, `
+def add(p: (int, int)) -> int { return p.0 + p.1; }
+def main() {
+	var g: (int, int) -> int = add;
+	System.puti(g(3, 4));
+}
+`)
+	var out strings.Builder
+	e := New(Compile(mod), interp.Options{Out: &out})
+	if _, err := e.Run(); err != nil || out.String() != "7" {
+		t.Fatalf("unnormalized run: output %q, err %v; want 7", out.String(), err)
+	}
+	if st := e.Stats(); st.AdaptChecks != 1 || st.AdaptPacks != 1 {
+		t.Fatalf("unnormalized run: %d checks, %d packs; want 1 each", st.AdaptChecks, st.AdaptPacks)
+	}
+	mod.Normalized = true
+	e = New(Compile(mod), interp.Options{Out: &out})
+	_, err := e.Run()
+	if _, trap := err.(*interp.VirgilError); err == nil || trap || !strings.Contains(err.Error(), "normalized call passes 2 values to add, which takes 1") {
+		t.Fatalf("normalized run: err %v, want the internal arity error", err)
+	}
+	if st := e.Stats(); st.AdaptChecks != 0 || st.AdaptPacks != 0 {
+		t.Errorf("normalized run: %d checks, %d packs; want none", st.AdaptChecks, st.AdaptPacks)
+	}
+}
+
 func TestProgramSharedAcrossEngines(t *testing.T) {
 	mod := compileMod(t, `
 var g = 0;

@@ -37,28 +37,16 @@ func (rv *retval) box() interp.Value {
 
 // icEntry is one monomorphic inline cache at a virtual or indirect
 // call site. cls keys virtual sites; ifn+hasRecv key indirect sites.
-// fast is nil when the observed target is ineligible for the planned
-// call path (type parameters or arity adaptation), in which case the
-// cache only memoizes the negative result.
-//
-// installs counts cache (re)installs; once it passes megaInstalls the
-// site is flagged megamorphic and stops installing: a hot polymorphic
-// site previously re-installed a fresh monomorphic cache on every
-// miss, paying the install cost forever without ever hitting.
+// fast is the keyed target's code when Program.direct admits it, and
+// nil otherwise, in which case the cache only memoizes the negative
+// result. Installing an entry allocates nothing, so a polymorphic site
+// simply re-keys its entry on every miss.
 type icEntry struct {
-	cls      *ir.Class
-	ifn      *ir.Func
-	hasRecv  bool
-	fast     *fnCode
-	plan     []argMove
-	installs uint32
-	mega     bool
+	cls     *ir.Class
+	ifn     *ir.Func
+	hasRecv bool
+	fast    *fnCode
 }
-
-// megaInstalls is the install count after which a call site is
-// declared megamorphic. Dispatch semantics and Stats are unaffected —
-// a megamorphic site just takes the slow path without re-installing.
-const megaInstalls = 4
 
 // recorder holds the engine's profile counters, dense-indexed by the
 // program's deterministic function numbering. nil unless the engine
@@ -314,21 +302,21 @@ func cmpSlots(op ir.Op, x, y int64) bool {
 	return false
 }
 
-// moveReg copies one caller register into one callee register, with
+// moveReg copies caller register src into callee register dst, with
 // the box/unbox decision carried by the two encodings.
-func moveReg(cs []int64, cr []interp.Value, ns []int64, nr []interp.Value, mv argMove) error {
-	if isRefEnc(mv.src) {
-		if isRefEnc(mv.dst) {
-			nr[slotOf(mv.dst)] = cr[slotOf(mv.src)]
+func moveReg(cs []int64, cr []interp.Value, ns []int64, nr []interp.Value, src, dst uint32) error {
+	if isRefEnc(src) {
+		if isRefEnc(dst) {
+			nr[slotOf(dst)] = cr[slotOf(src)]
 			return nil
 		}
-		return unboxInto(ns, mv.dst, cr[slotOf(mv.src)])
+		return unboxInto(ns, dst, cr[slotOf(src)])
 	}
-	if isRefEnc(mv.dst) {
-		nr[slotOf(mv.dst)] = boxKind(kindOf(mv.src), cs[slotOf(mv.src)])
+	if isRefEnc(dst) {
+		nr[slotOf(dst)] = boxKind(kindOf(src), cs[slotOf(src)])
 		return nil
 	}
-	ns[slotOf(mv.dst)] = cs[slotOf(mv.src)]
+	ns[slotOf(dst)] = cs[slotOf(src)]
 	return nil
 }
 
@@ -416,14 +404,6 @@ func (e *Engine) bindEnv(f *ir.Func, targs []types.Type) tenv {
 		}
 	}
 	return env
-}
-
-func (e *Engine) virtualTypeArgs(target *ir.Func, recv *interp.ObjVal, margs []types.Type) []types.Type {
-	if len(target.TypeParams) == 0 {
-		return nil
-	}
-	cargs := interp.ClassArgsFromRecv(e.tc, target, recv)
-	return append(cargs, margs...)
 }
 
 // objTemplate caches field-default templates for runtime-substituted
@@ -525,24 +505,28 @@ func (e *Engine) enterBoxed(f *ir.Func, args []interp.Value, targs []types.Type)
 	return n, err
 }
 
-// callPlanned activates fn through a pre-resolved move plan — the fast
-// path for static calls and inline-cache hits. The callee is known to
-// bind no type parameters and need no arity adaptation.
-func (e *Engine) callPlanned(fn *fnCode, plan []argMove, cs []int64, cr []interp.Value, recv interp.Value, hasRecv bool) (int, error) {
+// callPlanned runs call cd straight from the caller's registers: the
+// bound receiver, if there is one, goes into fn's first parameter, the
+// caller registers cd.args into the parameters after it, and the
+// results into cd.dsts. fn was admitted by Program.direct, so it binds
+// no type parameters and takes exactly these values.
+func (e *Engine) callPlanned(fn *fnCode, cd *coldInstr, cs []int64, cr []interp.Value, recv interp.Value, hasRecv bool) error {
 	e.stats.Calls++
 	if len(e.frames) >= e.maxDepth {
-		return 0, e.trap("!StackOverflow", fmt.Sprintf("call depth limit %d reached calling %s", e.maxDepth, fn.name))
+		return e.trap("!StackOverflow", fmt.Sprintf("call depth limit %d reached calling %s", e.maxDepth, fn.name))
 	}
 	e.frames = append(e.frames, frame{fn: fn, pc: -1})
 	s := e.getS(fn.nS)
 	r := e.getR(fn.nR)
+	params := fn.params
 	var err error
 	if hasRecv {
-		err = setv(s, r, fn.params[0], recv)
+		err = setv(s, r, params[0], recv)
+		params = params[1:]
 	}
 	if err == nil {
-		for _, mv := range plan {
-			if err = moveReg(cs, cr, s, r, mv); err != nil {
+		for k, a := range cd.args {
+			if err = moveReg(cs, cr, s, r, a, params[k]); err != nil {
 				break
 			}
 		}
@@ -565,7 +549,10 @@ func (e *Engine) callPlanned(fn *fnCode, plan []argMove, cs []int64, cr []interp
 	e.frames = e.frames[:len(e.frames)-1]
 	e.putS(s)
 	e.putR(r)
-	return n, err
+	if err != nil {
+		return err
+	}
+	return e.storeRets(cd.dsts, cs, cr, n)
 }
 
 // storeRets spills the shared return buffer into caller registers,
@@ -594,9 +581,10 @@ func (e *Engine) storeRets(dsts []uint32, s []int64, r []interp.Value, n int) er
 	return nil
 }
 
-// callVirtual dispatches one virtual call, with a monomorphic inline
-// cache keyed on the receiver's class. Slow path mirrors the
-// interpreter's OpCallVirtual case exactly.
+// callVirtual dispatches one virtual call through a monomorphic inline
+// cache keyed on the receiver's class. A target Program.direct admits
+// is entered straight from the argument registers; any other is called
+// as the method bound to the receiver, the interpreter's boxed path.
 func (e *Engine) callVirtual(fn *fnCode, ins *einstr, cd *coldInstr, s []int64, r []interp.Value, env tenv) error {
 	recv, ok := getv(s, r, cd.args[0]).(*interp.ObjVal)
 	if !ok {
@@ -608,138 +596,89 @@ func (e *Engine) callVirtual(fn *fnCode, ins *einstr, cd *coldInstr, s []int64, 
 	}
 	target := recv.Class.Vtable[slot]
 	ic := &e.ics[ins.ic]
-	if ic.cls == recv.Class && ic.fast != nil {
-		// Cache hit: the adaptation check trivially passes (arity is
-		// known to match), but it is still counted, like the
-		// interpreter's adapt fast path.
-		e.stats.AdaptChecks++
-		n, err := e.callPlanned(ic.fast, ic.plan, s, r, recv, true)
-		if err != nil {
-			return err
-		}
-		return e.storeRets(cd.dsts, s, r, n)
+	if ic.cls != recv.Class {
+		*ic = icEntry{cls: recv.Class, fast: e.p.direct(target, len(cd.args))}
 	}
-	provided := make([]interp.Value, len(cd.args)-1)
-	for k := 1; k < len(cd.args); k++ {
-		provided[k-1] = getv(s, r, cd.args[k])
-	}
-	adapted, err := interp.Adapt(&e.stats, provided, target.Params[1:])
-	if err != nil {
-		return err
+	if fast := ic.fast; fast != nil {
+		e.countCheck()
+		return e.callPlanned(fast, cd, s, r, nil, false)
 	}
 	margs := cd.targs
 	if ins.open() {
 		margs = e.substAll(cd.targs, env)
 	}
-	targsAll := e.virtualTypeArgs(target, recv, margs)
-	callArgs := append([]interp.Value{recv}, adapted...)
-	n, err := e.enterBoxed(target, callArgs, targsAll)
-	if err != nil {
-		return err
-	}
-	// Re-read through the pointer: the call above may have re-entered
-	// this site. A megamorphic site stops installing; otherwise count
-	// the install and flip to megamorphic past the limit so a hot
-	// polymorphic site stops thrashing the cache.
-	if !ic.mega {
-		installs := ic.installs + 1
-		if installs > megaInstalls {
-			*ic = icEntry{mega: true, installs: installs}
-		} else {
-			ic2 := icEntry{cls: recv.Class, installs: installs}
-			if tf := e.p.fns[target]; tf != nil && !tf.hasTP && len(cd.args) == len(target.Params) {
-				plan := make([]argMove, len(cd.args)-1)
-				for k := 1; k < len(cd.args); k++ {
-					plan[k-1] = argMove{src: cd.args[k], dst: tf.params[k]}
-				}
-				ic2.fast, ic2.plan = tf, plan
-			}
-			*ic = ic2
-		}
-	}
-	return e.storeRets(cd.dsts, s, r, n)
+	return e.callBoxed(&interp.FuncVal{Fn: target, Recv: recv, HasRecv: true, TypeArgs: margs}, cd.args[1:], cd.dsts, s, r)
 }
 
-// callIndirect invokes a closure value, with a monomorphic inline
-// cache keyed on the closure's function and bound-receiver shape.
+// callIndirect invokes a closure value through a monomorphic inline
+// cache keyed on the closure's function and bound-receiver shape, with
+// callVirtual's split between direct and boxed targets.
 func (e *Engine) callIndirect(ins *einstr, cd *coldInstr, fvv interp.Value, s []int64, r []interp.Value) error {
 	fv, ok := fvv.(*interp.FuncVal)
 	if !ok {
 		return &interp.VirgilError{Name: "!NullCheckException"}
 	}
 	ic := &e.ics[ins.ic]
-	if ic.ifn == fv.Fn && ic.hasRecv == fv.HasRecv && ic.fast != nil {
-		e.stats.AdaptChecks++
-		var recv interp.Value
+	if ic.ifn != fv.Fn || ic.hasRecv != fv.HasRecv {
+		nargs := len(cd.args)
 		if fv.HasRecv {
-			recv = fv.Recv
+			nargs++
 		}
-		n, err := e.callPlanned(ic.fast, ic.plan, s, r, recv, fv.HasRecv)
-		if err != nil {
-			return err
-		}
-		return e.storeRets(cd.dsts, s, r, n)
+		*ic = icEntry{ifn: fv.Fn, hasRecv: fv.HasRecv, fast: e.p.direct(fv.Fn, nargs)}
 	}
-	provided := make([]interp.Value, len(cd.args))
-	for k, a := range cd.args {
+	if fast := ic.fast; fast != nil {
+		e.countCheck()
+		return e.callPlanned(fast, cd, s, r, fv.Recv, fv.HasRecv)
+	}
+	return e.callBoxed(fv, cd.args, cd.dsts, s, r)
+}
+
+// countCheck counts a virtual or indirect call entered straight from
+// the argument registers. In a normalized module ir.Verify has proved
+// the call's arity, so there is no check to count; elsewhere the call
+// stands in for an Adapt check that passes trivially, and counts as one
+// to keep Stats equal to the switch interpreter's.
+func (e *Engine) countCheck() {
+	if !e.p.mod.Normalized {
+		e.stats.AdaptChecks++
+	}
+}
+
+// callBoxed mirrors the interpreter's invokeClosure: it boxes the
+// caller registers args, adapts them to fv's arity (§4.1), and enters
+// fv's function after its bound receiver with receiver-derived type
+// arguments. Only a module that is not normalized may need this; in a
+// normalized one ir.Verify rejects a call whose arity disagrees with
+// its target, so reaching here is a compiler bug, reported rather than
+// adapted.
+func (e *Engine) callBoxed(fv *interp.FuncVal, args, dsts []uint32, s []int64, r []interp.Value) error {
+	params := fv.Fn.Params
+	if fv.HasRecv {
+		params = params[1:]
+	}
+	if e.p.mod.Normalized {
+		return fmt.Errorf("interp: normalized call passes %d values to %s, which takes %d", len(args), fv.Fn.Name, len(params))
+	}
+	provided := make([]interp.Value, len(args))
+	for k, a := range args {
 		provided[k] = getv(s, r, a)
 	}
-	n, err := e.invokeClosure(fv, provided)
+	vals, err := interp.Adapt(&e.stats, provided, params)
 	if err != nil {
 		return err
 	}
-	if ic.mega {
-		return e.storeRets(cd.dsts, s, r, n)
-	}
-	installs := ic.installs + 1
-	if installs > megaInstalls {
-		*ic = icEntry{mega: true, installs: installs}
-		return e.storeRets(cd.dsts, s, r, n)
-	}
-	ic2 := icEntry{ifn: fv.Fn, hasRecv: fv.HasRecv, installs: installs}
-	if tf := e.p.fns[fv.Fn]; tf != nil && !tf.hasTP {
-		np := len(fv.Fn.Params)
-		off := 0
-		if fv.HasRecv {
-			np--
-			off = 1
-		}
-		if len(cd.args) == np {
-			plan := make([]argMove, len(cd.args))
-			for k, a := range cd.args {
-				plan[k] = argMove{src: a, dst: tf.params[k+off]}
-			}
-			ic2.fast, ic2.plan = tf, plan
-		}
-	}
-	*ic = ic2
-	return e.storeRets(cd.dsts, s, r, n)
-}
-
-// invokeClosure mirrors the interpreter's invokeClosure: dynamic arity
-// adaptation, then receiver-derived type arguments.
-func (e *Engine) invokeClosure(fv *interp.FuncVal, provided []interp.Value) (int, error) {
-	params := fv.Fn.Params
-	var callArgs []interp.Value
-	if fv.HasRecv {
-		adapted, err := interp.Adapt(&e.stats, provided, params[1:])
-		if err != nil {
-			return 0, err
-		}
-		callArgs = append([]interp.Value{fv.Recv}, adapted...)
-	} else {
-		adapted, err := interp.Adapt(&e.stats, provided, params)
-		if err != nil {
-			return 0, err
-		}
-		callArgs = adapted
-	}
 	targs := fv.TypeArgs
-	if fv.HasRecv && fv.Fn.NumClassParams > 0 {
-		recv := fv.Recv.(*interp.ObjVal)
-		targs = append(interp.ClassArgsFromRecv(e.tc, fv.Fn, recv), fv.TypeArgs...)
+	if fv.HasRecv {
+		vals = append([]interp.Value{fv.Recv}, vals...)
+		if fv.Fn.NumClassParams > 0 {
+			targs = append(interp.ClassArgsFromRecv(e.tc, fv.Fn, fv.Recv.(*interp.ObjVal)), fv.TypeArgs...)
+		}
 	}
-	return e.enterBoxed(fv.Fn, callArgs, targs)
+	n, err := e.enterBoxed(fv.Fn, vals, targs)
+	if err != nil {
+		return err
+	}
+	return e.storeRets(dsts, s, r, n)
 }
 
 // exec runs one translated function body. It must only be called by
@@ -1134,11 +1073,7 @@ func (e *Engine) exec(fn *fnCode, s []int64, r []interp.Value, env tenv) (int, e
 
 		case opCallF:
 			cd := &fn.cold[ins.cold]
-			n, err := e.callPlanned(cd.fn, cd.plan, s, r, nil, false)
-			if err != nil {
-				return 0, err
-			}
-			if err := e.storeRets(cd.dsts, s, r, n); err != nil {
+			if err := e.callPlanned(cd.fn, cd, s, r, nil, false); err != nil {
 				return 0, err
 			}
 		case opCallB:

@@ -101,7 +101,7 @@ const (
 	opGStoreS
 	opGStoreR
 	opGStoreX
-	opCallF // fast static call: pre-planned register moves
+	opCallF // static call entered straight from the argument registers
 	opCallB // boxed static call
 	opCallVirt
 	opCallInd
@@ -129,12 +129,6 @@ const (
 	fbrSS = uint8(1) // opCmpBrSS: compare two slots, branch
 	fbrSI = uint8(2) // opCmpBrSI: compare slot to immediate, branch
 )
-
-// argMove copies one caller register into one callee register; the two
-// encodings carry the box/unbox decision.
-type argMove struct {
-	src, dst uint32
-}
 
 // einstr is the hot part of one bytecode instruction: every field the
 // dispatch loop reads on its common path, in 48 bytes with no pointers,
@@ -180,7 +174,6 @@ type coldInstr struct {
 	targs []types.Type
 	args  []uint32
 	dsts  []uint32
-	plan  []argMove
 	sval  string
 	emsg  string
 	xerr  error
@@ -301,8 +294,8 @@ func CompileProfiled(mod *ir.Module, prof *profile.Profile) *Program {
 	// shared with every profile consumer.
 	work, names := profile.Walk(mod)
 	p.pnames = names
-	// Pass 1: register classing for every function, so call plans can
-	// reference callee parameter slots before bodies are translated. The
+	// Pass 1: register classing for every function, so static calls can
+	// resolve their callee's code before bodies are translated. The
 	// function records and their register tables are each one
 	// allocation for the whole module.
 	nregs, nparams := 0, 0
@@ -390,11 +383,10 @@ type translator struct {
 	start []int32 // block ID -> first pc; -1 until the block is translated
 	fixes []fixup
 
-	// ops and moves are the current function's operand arenas, sized by
-	// the counting pass; call and tuple operand lists are carved from
-	// them instead of being allocated one by one.
-	ops   []uint32
-	moves []argMove
+	// ops is the current function's operand arena, sized by the
+	// counting pass; call and tuple operand lists are carved from it
+	// instead of being allocated one by one.
+	ops []uint32
 	// cold collects the current function's cold entries; the function
 	// gets an exact-size copy once its body is translated.
 	cold []coldInstr
@@ -421,8 +413,8 @@ func (t *translator) translate(f *ir.Func, fc *fnCode) {
 	t.reads = resize(t.reads, f.NumRegs(), 0)
 	t.start = resize(t.start, f.NumBlocks(), -1)
 	// Counting pass: register reads, and the sizes of the code array
-	// and the operand arenas.
-	nins, nops, nmoves := 0, 0, 0
+	// and the operand arena.
+	nins, nops := 0, 0
 	for _, b := range f.Blocks {
 		nins += len(b.Instrs)
 		for _, in := range b.Instrs {
@@ -430,9 +422,6 @@ func (t *translator) translate(f *ir.Func, fc *fnCode) {
 				t.reads[a.ID]++
 			}
 			nops += len(in.Args) + len(in.Dst)
-			if in.Op == ir.OpCallStatic {
-				nmoves += len(in.Args)
-			}
 		}
 	}
 	// Fusion only ever shrinks the count; the one extra slot holds the
@@ -440,7 +429,7 @@ func (t *translator) translate(f *ir.Func, fc *fnCode) {
 	// block without a terminator.
 	fc.code = make([]einstr, 0, nins+1)
 	fc.pos = make([]src.Pos, 0, nins+1)
-	t.ops, t.moves = make([]uint32, 0, nops), make([]argMove, 0, nmoves)
+	t.ops = make([]uint32, 0, nops)
 	if len(f.Blocks) == 0 {
 		e := einstr{op: opBadOp, nsteps: 1}
 		t.newCold(&e).xerr = fmt.Errorf("interp: %s: function has no blocks", f.Name)
@@ -1066,20 +1055,16 @@ func (t *translator) instr(in *ir.Instr) {
 		}
 
 	case ir.OpCallStatic:
-		callee := t.p.fns[in.Fn]
 		c := t.newCold(&e)
-		c.irFn, c.fn = in.Fn, callee
+		c.irFn, c.fn = in.Fn, t.p.direct(in.Fn, len(in.Args))
 		c.targs = in.TypeArgs
 		if !t.closedAll(in.TypeArgs) {
 			e.flags |= fOpen
 		}
-		c.dsts = t.encAll(in.Dst)
-		if callee != nil && !callee.hasTP && len(in.Args) == len(in.Fn.Params) {
+		c.args, c.dsts = t.encAll(in.Args), t.encAll(in.Dst)
+		e.op = opCallB
+		if c.fn != nil {
 			e.op = opCallF
-			c.plan = t.plan(in.Args, callee.params)
-		} else {
-			e.op = opCallB
-			c.args = t.encAll(in.Args)
 		}
 	case ir.OpCallVirtual:
 		e.op, e.aux, e.ic = opCallVirt, int32(in.FieldSlot), t.newIC()
@@ -1195,14 +1180,16 @@ func (t *translator) instr(in *ir.Instr) {
 	t.emit(e, in.Pos)
 }
 
-// plan builds a static call's register move plan from the caller's
-// argument registers to the callee's parameter slots.
-func (t *translator) plan(args []*ir.Reg, params []uint32) []argMove {
-	plan := carve(&t.moves, len(args))
-	for i, a := range args {
-		plan[i] = argMove{src: t.enc(a), dst: params[i]}
+// direct returns f's code when a call passing nargs values may enter
+// it straight from the caller's registers (callPlanned): f is
+// translated, binds no type parameters and takes exactly nargs values.
+// A static call checks this once, at translation; a virtual or indirect
+// call checks it for each target its inline cache keys.
+func (p *Program) direct(f *ir.Func, nargs int) *fnCode {
+	if fc := p.fns[f]; fc != nil && !fc.hasTP && len(fc.params) == nargs {
+		return fc
 	}
-	return plan
+	return nil
 }
 
 // primOf maps a scalar kind back to its type.

@@ -16,10 +16,11 @@ import (
 // scalarized elements one slot), a boxed tuple is a header plus one
 // slot per component, and a closure is a header plus a code pointer
 // and a bound receiver. Transient values the engines materialize only
-// as calling-convention artifacts (arity-adaptation packs, cast
-// rebuilds) are deliberately not charged — they are representation
-// details of one configuration, and charging them would make the
-// budget diverge between otherwise-equivalent pipelines.
+// as calling-convention artifacts (arity-adaptation packs, which only
+// unnormalized modules make, and cast rebuilds) are deliberately not
+// charged — they are representation details of one configuration, and
+// charging them would make the budget diverge between
+// otherwise-equivalent pipelines.
 const (
 	// HeapHeaderBytes is the modeled per-allocation header.
 	HeapHeaderBytes = 16

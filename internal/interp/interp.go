@@ -86,9 +86,10 @@ type Stats struct {
 	Steps int64
 	// AdaptChecks counts every entry into Adapt, the dynamic
 	// arity-adaptation check at virtual and indirect call sites (§4.1);
-	// the bytecode engine counts its inline-cache hits, which stand in
-	// for Adapt, the same way. Normalization leaves these call sites in
-	// place; only the analysis layer's direct calls remove them.
+	// the bytecode engine counts each call it enters straight from the
+	// argument registers, which stands in for Adapt, the same way. Zero
+	// in a normalized module: there ir.Verify proves every such call's
+	// arity and both engines pass arguments straight through (§4.2).
 	AdaptChecks int64
 	// AdaptPacks counts adaptations that had to box or unbox a tuple;
 	// normalization brings it to zero.
@@ -302,12 +303,6 @@ func (i *Interp) bindEnv(f *ir.Func, targs []types.Type) env {
 		}
 	}
 	return e
-}
-
-// adapt performs the paper's dynamic calling-convention check (§4.1)
-// via the shared kernel.
-func (i *Interp) adapt(provided []Value, params []*ir.Reg) ([]Value, error) {
-	return Adapt(&i.stats, provided, params)
 }
 
 // traceSnapshot captures the current Virgil call stack, innermost frame
@@ -623,17 +618,12 @@ func (i *Interp) exec(f *ir.Func, args []Value, targs []types.Type) ([]Value, er
 			if slot >= len(recv.Class.Vtable) || recv.Class.Vtable[slot] == nil {
 				return nil, fmt.Errorf("interp: %s: bad vtable slot %d on %s", f.Name, slot, recv.Class.Name)
 			}
-			target := recv.Class.Vtable[slot]
 			provided := make([]Value, len(in.Args)-1)
 			for k := 1; k < len(in.Args); k++ {
 				provided[k-1] = get(in.Args[k])
 			}
-			adapted, err := i.adapt(provided, target.Params[1:])
-			if err != nil {
-				return nil, err
-			}
-			targsAll := i.virtualTypeArgs(target, recv, i.substAll(in.TypeArgs, e))
-			res, err := i.call(target, append([]Value{recv}, adapted...), targsAll)
+			bound := &FuncVal{Fn: recv.Class.Vtable[slot], Recv: recv, HasRecv: true, TypeArgs: i.substAll(in.TypeArgs, e)}
+			res, err := i.invokeClosure(bound, provided)
 			if err != nil {
 				return nil, err
 			}
@@ -781,40 +771,32 @@ func storeResults(regs []Value, dst []*ir.Reg, res []Value) {
 	}
 }
 
-// invokeClosure calls a closure value with dynamically adapted
-// arguments (§4.1).
+// invokeClosure calls a closure value, or the method a virtual call
+// dispatched to bound to its receiver, passing the provided values
+// after the bound receiver. Outside a normalized module they are first
+// adapted to the target's arity (§4.1); in one, ir.Verify has proved
+// that they already agree.
 func (i *Interp) invokeClosure(fv *FuncVal, provided []Value) ([]Value, error) {
-	params := fv.Fn.Params
-	var callArgs []Value
-	if fv.HasRecv {
-		adapted, err := i.adapt(provided, params[1:])
+	args := provided
+	if !i.mod.Normalized {
+		params := fv.Fn.Params
+		if fv.HasRecv {
+			params = params[1:]
+		}
+		adapted, err := Adapt(&i.stats, provided, params)
 		if err != nil {
 			return nil, err
 		}
-		callArgs = append([]Value{fv.Recv}, adapted...)
-	} else {
-		adapted, err := i.adapt(provided, params)
-		if err != nil {
-			return nil, err
-		}
-		callArgs = adapted
+		args = adapted
 	}
 	targs := fv.TypeArgs
-	if fv.HasRecv && fv.Fn.NumClassParams > 0 {
-		recv := fv.Recv.(*ObjVal)
-		targs = append(ClassArgsFromRecv(i.tc, fv.Fn, recv), fv.TypeArgs...)
+	if fv.HasRecv {
+		args = append([]Value{fv.Recv}, args...)
+		if fv.Fn.NumClassParams > 0 {
+			targs = append(ClassArgsFromRecv(i.tc, fv.Fn, fv.Recv.(*ObjVal)), fv.TypeArgs...)
+		}
 	}
-	return i.call(fv.Fn, callArgs, targs)
-}
-
-// virtualTypeArgs combines receiver-derived class arguments with
-// call-site method arguments for a virtual call target.
-func (i *Interp) virtualTypeArgs(target *ir.Func, recv *ObjVal, margs []types.Type) []types.Type {
-	if len(target.TypeParams) == 0 {
-		return nil
-	}
-	cargs := ClassArgsFromRecv(i.tc, target, recv)
-	return append(cargs, margs...)
+	return i.call(fv.Fn, args, targs)
 }
 
 // classFor resolves a closed class type to its IR class.

@@ -102,8 +102,9 @@ func EvalCast(tc *types.Cache, v Value, to types.Type) (Value, error) {
 // Adapt performs the paper's dynamic calling-convention check (§4.1):
 // the callee may declare n scalar parameters or one tuple parameter for
 // the same function type, so provided values are packed or unpacked to
-// match. In normalized code the shapes always agree. Both engines call
-// this at every virtual and indirect call site, updating stats.
+// match. Both engines call it at virtual and indirect call sites only
+// in modules that are not normalized; in a normalized one ir.Verify
+// proves that the shapes agree, and neither engine calls it.
 func Adapt(stats *Stats, provided []Value, params []*ir.Reg) ([]Value, error) {
 	stats.AdaptChecks++
 	n, m := len(provided), len(params)

@@ -5,8 +5,10 @@
 //     §4.3), and dynamic arity-adaptation checks at virtual and indirect
 //     call sites (§4.1) — the paper's interpreter.
 //   - Compiled mode runs the monomorphized, normalized, optimized IR,
-//     where none of those mechanisms trigger; the relative cost of the
-//     two modes is what experiments E1-E3 measure.
+//     where none of those mechanisms trigger: the IR verifier proves
+//     that every call passes exactly the values its target takes, so
+//     arguments pass straight through. The relative cost of the two
+//     modes is what experiments E1-E3 measure.
 package interp
 
 import (

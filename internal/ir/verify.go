@@ -16,6 +16,12 @@ import (
 //   - call-site agreement: arity and (substituted) signature of every
 //     call match the callee Func, and callees/globals/vtable entries
 //     belong to the module;
+//   - call arity after normalization: every override takes as many
+//     values as the vtable slot it overrides, and every closure or
+//     bound method takes as many as its function type's flattened
+//     parameter, so each virtual or indirect call passes exactly the
+//     values its runtime target declares and the engines need no
+//     dynamic calling-convention check (§4.1, §4.2);
 //   - stage-conditional invariants: after monomorphization no type
 //     parameters remain anywhere (§4.3) and call sites carry no type
 //     arguments; after normalization no tuple opcodes or tuple-typed
@@ -607,7 +613,7 @@ func (v *verifier) checkInstr(f *Func, in *Instr) error {
 		if in.Type2 != nil && !v.assignable(in.Type2, dt(0)) {
 			return fmt.Errorf("closure of %s into register of %s", in.Type2, dt(0))
 		}
-		return nil
+		return v.checkClosureArity(dt(0), in.Fn, 0)
 	case OpMakeBound:
 		ct, ok := at(0).(*types.Class)
 		if !ok {
@@ -616,13 +622,17 @@ func (v *verifier) checkInstr(f *Func, in *Instr) error {
 			}
 			return fmt.Errorf("bound closure over non-class receiver %s", at(0))
 		}
-		if cls := v.classFor(ct); cls != nil && in.FieldSlot >= len(cls.Vtable) {
+		cls := v.classFor(ct)
+		if cls != nil && (in.FieldSlot < 0 || in.FieldSlot >= len(cls.Vtable)) {
 			return fmt.Errorf("bound closure vtable slot %d out of range for %s", in.FieldSlot, cls.Name)
 		}
 		if in.Type2 != nil && !v.assignable(in.Type2, dt(0)) {
 			return fmt.Errorf("bound closure of %s into register of %s", in.Type2, dt(0))
 		}
-		return nil
+		if cls == nil {
+			return nil
+		}
+		return v.checkClosureArity(dt(0), cls.Vtable[in.FieldSlot], 1)
 
 	case OpConstEnum:
 		et, ok := in.Type.(*types.Enum)
@@ -840,12 +850,29 @@ func (v *verifier) checkCallIndirect(f *Func, in *Instr) error {
 	return v.checkCallDsts(in, types.Flatten(v.tc, ft.Ret, nil))
 }
 
+// checkClosureArity holds a closure over fn, with recv bound leading
+// parameters, to the function type t of the register it is stored in:
+// in a normalized module fn must take exactly the values of t's
+// flattened parameter, which checkCallIndirect holds every indirect
+// call through t to pass.
+func (v *verifier) checkClosureArity(t types.Type, fn *Func, recv int) error {
+	ft, ok := t.(*types.Func)
+	if !v.m.Normalized || !ok || fn == nil {
+		return nil
+	}
+	if want := len(types.Flatten(v.tc, ft.Param, nil)); len(fn.Params)-recv != want {
+		return fmt.Errorf("closure over %s takes %d values, function type %s passes %d", fn.Name, len(fn.Params)-recv, ft, want)
+	}
+	return nil
+}
+
 // ------------------------------------------------------- stage sweeps
 
 // verifyShapes enforces the stage-conditional whole-module invariants:
 // after monomorphization, no open type and no type-argument list may
 // survive anywhere (§4.3); after normalization, no tuple type may
-// survive in any register, parameter, result, field, or global (§4.2).
+// survive in any register, parameter, result, field, or global (§4.2),
+// and every override takes as many values as the slot it overrides.
 func (v *verifier) verifyShapes() error {
 	if v.m.Monomorphic {
 		if err := v.sweepTypes("monomorphic", func(t types.Type) error {
@@ -874,6 +901,32 @@ func (v *verifier) verifyShapes() error {
 			return nil
 		}); err != nil {
 			return err
+		}
+		return v.checkOverrides()
+	}
+	return nil
+}
+
+// checkOverrides holds each vtable entry of a normalized module to the
+// parameter count of the nearest ancestor entry in the same slot.
+// checkCallVirtual holds a call to the entry of the receiver's static
+// class, so a call dispatched to any subclass passes exactly the values
+// its target declares.
+func (v *verifier) checkOverrides() error {
+	for _, c := range v.m.Classes {
+		for slot, fn := range c.Vtable {
+			if fn == nil {
+				continue
+			}
+			for p := c.Parent; p != nil && slot < len(p.Vtable); p = p.Parent {
+				if pf := p.Vtable[slot]; pf != nil {
+					if len(fn.Params) != len(pf.Params) {
+						return fmt.Errorf("class %s: override %s takes %d params, vtable slot %d of %s (%s) takes %d",
+							c.Name, fn.Name, len(fn.Params), slot, p.Name, pf.Name, len(pf.Params))
+					}
+					break
+				}
+			}
 		}
 	}
 	return nil

@@ -352,3 +352,79 @@ func TestVerifyRejectsSharedOperandLists(t *testing.T) {
 		t.Fatalf("Verify rejected owned lists: %v", err)
 	}
 }
+
+// TestVerifyRejectsArityDisagreementInNormalizedModule builds one
+// module per way a virtual or indirect call could reach a target of
+// another arity: an override, a closure and a bound method, each taking
+// two values where one is passed. Normalized, Verify rejects each and
+// names the function; the same module unnormalized passes, because
+// there the engines adapt arity at run time (§4.1).
+func TestVerifyRejectsArityDisagreementInNormalizedModule(t *testing.T) {
+	tc := types.NewCache()
+	intToInt := tc.FuncOf(tc.Int(), tc.Int())
+	class := func(name string, parent *ir.Class) *ir.Class {
+		def := tc.NewClassDef(name, nil, nil)
+		return &ir.Class{Name: name, Def: def, Type: tc.ClassOf(def, nil), Parent: parent}
+	}
+	// method returns its first int parameter; recv is nil for a plain
+	// function.
+	method := func(name string, recv *ir.Class, ints int) *ir.Func {
+		f := newFunc(name, tc.Int())
+		if recv != nil {
+			f.Params = []*ir.Reg{f.NewReg(recv.Type, "this")}
+			f.Class, f.VtSlot = recv, 0
+			recv.Vtable = []*ir.Func{f}
+		}
+		for k := 0; k < ints; k++ {
+			f.Params = append(f.Params, f.NewReg(tc.Int(), ""))
+		}
+		emit(f.NewBlock(), &ir.Instr{Op: ir.OpRet, Args: []*ir.Reg{f.Params[len(f.Params)-ints]}})
+		return f
+	}
+	// closureIn returns a function that stores the closure made by op
+	// into a register of type int -> int.
+	closureIn := func(op ir.Op, fn *ir.Func, recv *ir.Class) *ir.Func {
+		f := newFunc("f", tc.Void())
+		b := f.NewBlock()
+		in := &ir.Instr{Op: op, Dst: []*ir.Reg{f.NewReg(intToInt, "")}, Fn: fn}
+		if recv != nil {
+			o := f.NewReg(recv.Type, "")
+			emit(b, &ir.Instr{Op: ir.OpConstNull, Dst: []*ir.Reg{o}, Type: recv.Type})
+			in.Args = []*ir.Reg{o}
+		}
+		emit(b, in)
+		emit(b, &ir.Instr{Op: ir.OpRet})
+		return f
+	}
+	for _, c := range []struct {
+		name  string
+		build func() *ir.Module
+		want  []string
+	}{
+		{"override", func() *ir.Module {
+			a := class("A", nil)
+			b := class("B", a)
+			am, bm := method("A.m", a, 1), method("B.m", b, 2)
+			return &ir.Module{Types: tc, Funcs: []*ir.Func{am, bm}, Classes: []*ir.Class{a, b}}
+		}, []string{"override B.m takes 3 params", "(A.m) takes 2"}},
+		{"closure", func() *ir.Module {
+			g := method("g", nil, 2)
+			return &ir.Module{Types: tc, Funcs: []*ir.Func{g, closureIn(ir.OpMakeClosure, g, nil)}}
+		}, []string{"func f:", "closure over g takes 2 values", "passes 1"}},
+		{"bound", func() *ir.Module {
+			a := class("A", nil)
+			am := method("A.m", a, 2)
+			return &ir.Module{Types: tc, Funcs: []*ir.Func{am, closureIn(ir.OpMakeBound, nil, a)}, Classes: []*ir.Class{a}}
+		}, []string{"func f:", "closure over A.m takes 2 values", "passes 1"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.build()
+			m.Monomorphic = true
+			if err := m.Verify(); err != nil {
+				t.Fatalf("unnormalized module rejected: %v", err)
+			}
+			m.Normalized = true
+			wantVerifyError(t, m, c.want...)
+		})
+	}
+}

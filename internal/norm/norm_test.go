@@ -89,7 +89,8 @@ func TestNoTuplesRemain(t *testing.T) {
 }
 
 // TestNoBoxedTuplesAtRuntime checks the paper's no-implicit-allocation
-// claim: normalized execution allocates zero boxed tuples (§4.2).
+// claim: normalized execution allocates zero boxed tuples (§4.2), and
+// makes no dynamic calling-convention check (§4.1).
 func TestNoBoxedTuplesAtRuntime(t *testing.T) {
 	for _, p := range testprogs.All() {
 		monoMod := compileMono(t, p.Source)
@@ -107,6 +108,9 @@ func TestNoBoxedTuplesAtRuntime(t *testing.T) {
 		}
 		if n := it.Stats().AdaptPacks; n != 0 {
 			t.Errorf("%s: %d dynamic arity adaptations packed tuples, want 0", p.Name, n)
+		}
+		if n := it.Stats().AdaptChecks; n != 0 {
+			t.Errorf("%s: %d dynamic arity checks in normalized code, want 0", p.Name, n)
 		}
 	}
 }
