@@ -4,10 +4,11 @@ import (
 	"bytes"
 )
 
-// The store fingerprint is the config half of every artifact key: two
-// compiles may share artifacts only when the Config fields that shape
-// compiled output agree. Fields that only affect how the artifact is
-// *executed* (engine choice, runtime budgets) are
+// The config fingerprint is the config half of every artifact key —
+// the artifact store's here, and the serve warm cache's, which pairs it
+// with HashFiles. Two compiles may share artifacts only when the Config
+// fields that shape compiled output agree. Fields that only affect how
+// the artifact is *executed* (engine choice, runtime budgets) are
 // deliberately excluded — the compiled module is byte-identical across
 // them, so a bytecode-engine compile warms the cache for a
 // switch-engine request and vice versa.
@@ -30,8 +31,7 @@ var storeKeyFields = map[string]bool{
 	// MaxErrors caps the diagnostic list on failed compiles. Successful
 	// compiles are MaxErrors-independent, but the store also answers
 	// whole-module hits whose Compilation is cloned under the request
-	// config, so the conservative choice is in-key. (The serve cache
-	// key includes it for the same reason.)
+	// config, so the conservative choice is in-key.
 	"MaxErrors": true,
 
 	// Execution-only: the compiled module is byte-identical across
@@ -48,10 +48,10 @@ var storeKeyFields = map[string]bool{
 	"Timeout":  false,
 }
 
-// storeFingerprint digests the in-key Config fields. Two configs with
+// Fingerprint digests the in-key Config fields. Two configs with
 // equal fingerprints compile any given source to byte-identical
-// modules, so they may share one store entry.
-func (c Config) storeFingerprint() [32]byte {
+// modules, so they may share one cached artifact.
+func (c Config) Fingerprint() [32]byte {
 	d := newDigest()
 	d.bool(c.Monomorphize)
 	d.bool(c.Normalize)

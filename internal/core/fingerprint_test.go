@@ -15,7 +15,7 @@ import (
 // the in-key fields.
 func TestStoreFingerprintCoversConfig(t *testing.T) {
 	base := Config{Monomorphize: true, Normalize: true, Optimize: true}
-	baseFP := base.storeFingerprint()
+	baseFP := base.Fingerprint()
 
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
@@ -43,7 +43,7 @@ func TestStoreFingerprintCoversConfig(t *testing.T) {
 				t.Fatalf("Config.%s: unhandled kind %s — extend the audit", f.Name, mv.Kind())
 			}
 		}
-		moved := mutated.storeFingerprint() != baseFP
+		moved := mutated.Fingerprint() != baseFP
 		if inKey && !moved {
 			t.Errorf("Config.%s is classified in-key but mutating it left the fingerprint unchanged", f.Name)
 		}
@@ -60,10 +60,10 @@ func TestStoreFingerprintPGOProfiles(t *testing.T) {
 	a, b := base, base
 	a.PGO = &profile.Profile{Funcs: map[string]*profile.Func{"f": {Calls: 1}}}
 	b.PGO = &profile.Profile{Funcs: map[string]*profile.Func{"f": {Calls: 2}}}
-	if a.storeFingerprint() == b.storeFingerprint() {
+	if a.Fingerprint() == b.Fingerprint() {
 		t.Fatalf("different PGO profiles share a fingerprint")
 	}
-	if a.storeFingerprint() != a.storeFingerprint() {
+	if a.Fingerprint() != a.Fingerprint() {
 		t.Fatalf("fingerprint not stable")
 	}
 }

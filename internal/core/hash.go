@@ -13,7 +13,7 @@ import (
 
 // Content hashing for the artifact store. Three digests drive reuse:
 //
-//   - hashFiles: the whole source set. Equal hash → the previous
+//   - HashFiles: the whole source set. Equal hash → the previous
 //     compilation is returned as-is (a whole-module hit).
 //   - hashEnv: the global environment a function body compiles
 //     against — class layouts, vtable shapes, globals, enum defs, and
@@ -161,8 +161,10 @@ func (d *digest) sum() [32]byte {
 	return sha256.Sum256(d.buf)
 }
 
-// hashFiles digests the full source set, names included.
-func hashFiles(files []File) [32]byte {
+// HashFiles digests the full source set, names included. It is the
+// source half of every artifact key, and serve's program identity for
+// routing and quarantine.
+func HashFiles(files []File) [32]byte {
 	d := newDigest()
 	d.int(int64(len(files)))
 	for _, f := range files {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/faultinject"
 	"repro/internal/ir"
+	"repro/internal/lru"
 	"repro/internal/opt"
 	"repro/internal/src"
 	"repro/internal/types"
@@ -192,59 +192,24 @@ func fileHashes(files []File) [][32]byte {
 // fingerprint. Safe for concurrent use; typical owners are one Store
 // per serve process shared across requests, or one per test.
 type Store struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List
-	m   map[[32]byte]*list.Element
-}
-
-type storeSlot struct {
-	fp   [32]byte
-	base *incrBase
+	lru *lru.Cache[[32]byte, *incrBase]
 }
 
 // NewStore returns a store holding at most capacity fingerprints
 // (minimum 1).
 func NewStore(capacity int) *Store {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Store{cap: capacity, ll: list.New(), m: map[[32]byte]*list.Element{}}
+	return &Store{lru: lru.New[[32]byte, *incrBase](capacity)}
 }
 
 // Len reports the number of cached fingerprints.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}
+func (s *Store) Len() int { return s.lru.Len() }
 
 func (s *Store) lookup(fp [32]byte) *incrBase {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el := s.m[fp]
-	if el == nil {
-		return nil
-	}
-	s.ll.MoveToFront(el)
-	return el.Value.(*storeSlot).base
+	base, _ := s.lru.Get(fp)
+	return base
 }
 
-func (s *Store) insert(fp [32]byte, base *incrBase) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el := s.m[fp]; el != nil {
-		el.Value.(*storeSlot).base = base
-		s.ll.MoveToFront(el)
-		return
-	}
-	s.m[fp] = s.ll.PushFront(&storeSlot{fp: fp, base: base})
-	for s.ll.Len() > s.cap {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.m, oldest.Value.(*storeSlot).fp)
-	}
-}
+func (s *Store) insert(fp [32]byte, base *incrBase) { s.lru.Put(fp, base) }
 
 // cloneFor returns a Compilation sharing this one's immutable compile
 // artifacts under a different runtime configuration. The engine-program
@@ -297,8 +262,8 @@ func CompileFilesIncremental(ctx context.Context, files []File, cfg Config, stor
 		return comp, st, cerr
 	}
 
-	fp := cfg.storeFingerprint()
-	srcH := hashFiles(files)
+	fp := cfg.Fingerprint()
+	srcH := HashFiles(files)
 	base := store.lookup(fp)
 	if base != nil && base.srcHash == srcH {
 		st.Mode = ModeModuleHit

@@ -520,7 +520,7 @@ func TestIncrementalMultiFileASTReuse(t *testing.T) {
 	// cachedLib reads the parse cache's lib.v entry; no compile is in
 	// flight when it is called.
 	cachedLib := func() *ast.File {
-		return store.lookup(cfg.storeFingerprint()).astc.m["lib.v"].file
+		return store.lookup(cfg.Fingerprint()).astc.m["lib.v"].file
 	}
 
 	if _, st, err := compile(probe(0)); err != nil || st.Mode != ModeCold {
@@ -717,7 +717,7 @@ func TestIncrementalVerifyCatchesCorruptReuse(t *testing.T) {
 	compileIncr(t, store, editProgBase, cfg)
 	// helper is outside the change-body edit's dirty closure, so the
 	// edit reuses its compiled body from the base.
-	helper := store.lookup(cfg.storeFingerprint()).funcs["helper"]
+	helper := store.lookup(cfg.Fingerprint()).funcs["helper"]
 	if helper == nil {
 		t.Fatal("base has no helper")
 	}

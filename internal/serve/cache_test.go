@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"net/http"
 	"sync"
@@ -23,7 +22,7 @@ func TestCacheConcurrentEviction(t *testing.T) {
 	// Sixteen distinct programs, compiled once up front; the cache holds
 	// at most four, so the workers below continuously evict each other.
 	type entry struct {
-		key  [sha256.Size]byte
+		key  artifactKey
 		comp *core.Compilation
 	}
 	var entries []entry
@@ -33,7 +32,8 @@ func TestCacheConcurrentEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries = append(entries, entry{key: cacheKey(core.Compiled(), fs, 1), comp: comp})
+		key := artifactKey{config: core.Compiled().Fingerprint(), sources: core.HashFiles(coreFiles(fs)), tier: 1}
+		entries = append(entries, entry{key: key, comp: comp})
 	}
 
 	var wg sync.WaitGroup
@@ -47,12 +47,12 @@ func TestCacheConcurrentEviction(t *testing.T) {
 				if got, ok := c.get(e.key); ok {
 					if got.comp.Load() != e.comp {
 						select {
-						case errs <- fmt.Errorf("stale cache entry: key %x returned the wrong compilation", e.key[:4]):
+						case errs <- fmt.Errorf("stale cache entry: key %x returned the wrong compilation", e.key.sources[:4]):
 						default:
 						}
 					}
 				} else {
-					c.put(e.key, e.comp, 1)
+					c.put(e.key, e.comp)
 				}
 				if n := c.len(); n > capacity {
 					select {
@@ -70,6 +70,28 @@ func TestCacheConcurrentEviction(t *testing.T) {
 	}
 	if n := c.len(); n == 0 || n > capacity {
 		t.Fatalf("cache len = %d after soak, want 1..%d", n, capacity)
+	}
+}
+
+// TestTierKeysSeparate: the tier in the key keeps a profile-guided
+// recompile from aliasing the plain artifact of the same program and
+// config — both are resident at once, each under its own key.
+func TestTierKeysSeparate(t *testing.T) {
+	c := newCompCache(4)
+	tier1 := artifactKey{config: core.Compiled().Fingerprint(), sources: core.HashFiles(coreFiles(files("ok.v", okProg))), tier: 1}
+	tier2 := tier1
+	tier2.tier = 2
+	plain, tiered := &core.Compilation{}, &core.Compilation{}
+	c.put(tier1, plain)
+	c.put(tier2, tiered)
+	if e, ok := c.get(tier1); !ok || e.comp.Load() != plain {
+		t.Fatal("tier-1 key does not serve the plain artifact")
+	}
+	if e, ok := c.get(tier2); !ok || e.comp.Load() != tiered {
+		t.Fatal("tier-2 key does not serve the profile-guided artifact")
+	}
+	if c.len() != 2 || c.tiered() != 1 {
+		t.Fatalf("len=%d tiered=%d, want 2/1", c.len(), c.tiered())
 	}
 }
 

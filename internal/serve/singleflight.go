@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
 	"sync"
 
 	"repro/internal/core"
@@ -22,7 +21,7 @@ import (
 // for the success path only.
 type flightGroup struct {
 	mu sync.Mutex
-	m  map[[sha256.Size]byte]*flight
+	m  map[artifactKey]*flight
 }
 
 type flight struct {
@@ -32,14 +31,14 @@ type flight struct {
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{m: map[[sha256.Size]byte]*flight{}}
+	return &flightGroup{m: map[artifactKey]*flight{}}
 }
 
 // do runs fn under single-flight for key. It reports coalesced=true
 // when the result came from another request's in-flight compile. A
 // follower whose ctx ends while waiting returns ctx.Err(); a follower
 // whose leader failed runs fn itself.
-func (g *flightGroup) do(ctx context.Context, key [sha256.Size]byte, fn func() (*core.Compilation, error)) (comp *core.Compilation, coalesced bool, err error) {
+func (g *flightGroup) do(ctx context.Context, key artifactKey, fn func() (*core.Compilation, error)) (comp *core.Compilation, coalesced bool, err error) {
 	g.mu.Lock()
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()

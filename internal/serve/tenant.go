@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // TenantStat is one tenant's entry in /stats. Requests counts every
@@ -30,8 +32,14 @@ type tenantTable struct {
 	maxConc   int     // concurrent requests per tenant; 0 = unlimited
 	stepsRate float64 // steps per second; 0 = unlimited
 	heapRate  float64 // modeled heap bytes per second; 0 = unlimited
-	m         map[string]*tenantState
+	m         *lru.Cache[string, *tenantState]
 }
+
+// maxTenants bounds the tenant table. Tenant names come from clients,
+// so an unbounded table would let any client grow server memory and
+// the /stats body without limit. The least recently seen tenant is
+// dropped; if it returns it starts again with full buckets.
+const maxTenants = 1024
 
 type tenantState struct {
 	inflight   int
@@ -50,17 +58,17 @@ func newTenantTable(cfg Config) *tenantTable {
 		maxConc:   cfg.TenantMaxConcurrent,
 		stepsRate: float64(cfg.TenantStepsPerSec),
 		heapRate:  float64(cfg.TenantHeapPerSec),
-		m:         map[string]*tenantState{},
+		m:         lru.New[string, *tenantState](maxTenants),
 	}
 }
 
 // state returns (creating if needed) the tenant's bucket state. Callers
 // hold t.mu.
 func (t *tenantTable) state(name string, now time.Time) *tenantState {
-	ts := t.m[name]
-	if ts == nil {
+	ts, ok := t.m.Get(name)
+	if !ok {
 		ts = &tenantState{stepsTok: t.stepsRate, heapTok: t.heapRate, lastRefill: now}
-		t.m[name] = ts
+		t.m.Put(name, ts)
 	}
 	return ts
 }
@@ -134,11 +142,12 @@ func (t *tenantTable) charge(name string, steps, heap int64) {
 func (t *tenantTable) snapshot() map[string]TenantStat {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.m) == 0 {
+	n := t.m.Len()
+	if n == 0 {
 		return nil
 	}
-	out := make(map[string]TenantStat, len(t.m))
-	for name, ts := range t.m {
+	out := make(map[string]TenantStat, n)
+	t.m.Each(func(name string, ts *tenantState) {
 		out[name] = TenantStat{
 			Requests:  ts.requests,
 			Rejected:  ts.rejected,
@@ -146,6 +155,6 @@ func (t *tenantTable) snapshot() map[string]TenantStat {
 			Steps:     ts.steps,
 			HeapBytes: ts.heap,
 		}
-	}
+	})
 	return out
 }

@@ -182,3 +182,43 @@ func TestAnonymousRequestsExemptFromQuotas(t *testing.T) {
 		t.Fatalf("anonymous traffic was metered: %+v", st)
 	}
 }
+
+// TestTenantTableBounded: tenant names come from clients, so the table
+// keeps at most maxTenants of them. More distinct names than that
+// leave /stats listing no more than the bound, and an evicted tenant
+// that returns starts again with full buckets — its old debt is gone.
+func TestTenantTableBounded(t *testing.T) {
+	_, ts := newTestServer(t, Config{TenantStepsPerSec: 100})
+	status, resp := post(t, ts.URL+"/run", Request{Files: files("work.v", workProg), Tenant: "debtor"})
+	if status != http.StatusOK || !resp.OK {
+		t.Fatalf("first request: status=%d resp=%+v", status, resp)
+	}
+	st2, resp2, hdr := postHdr(t, ts.URL+"/run", Request{Files: files("ok.v", okProg), Tenant: "debtor"})
+	requireQuotaReject(t, st2, resp2, hdr, "steps")
+
+	for i := 0; i < maxTenants+16; i++ {
+		req := Request{Files: files("ok.v", okProg), Tenant: "t" + strconv.Itoa(i)}
+		if status, resp := post(t, ts.URL+"/compile", req); status != http.StatusOK || !resp.OK {
+			t.Fatalf("tenant %d: status=%d resp=%+v", i, status, resp)
+		}
+	}
+
+	res, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Tenants) > maxTenants {
+		t.Fatalf("/stats lists %d tenants, want at most %d", len(st.Tenants), maxTenants)
+	}
+	if _, ok := st.Tenants["debtor"]; ok {
+		t.Fatal("least recently seen tenant survived past the bound")
+	}
+	if status, resp := post(t, ts.URL+"/run", Request{Files: files("ok.v", okProg), Tenant: "debtor"}); status != http.StatusOK || !resp.OK {
+		t.Fatalf("evicted tenant returning: status=%d resp=%+v, want a fresh full bucket", status, resp)
+	}
+}

@@ -6,12 +6,16 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/progen"
+	"repro/internal/testprogs"
 )
 
 // ---- unit: program hashing and the fallback table ----
@@ -124,6 +128,69 @@ func TestEngineFallbackAndQuarantine(t *testing.T) {
 	status, resp = post(t, ts.URL+"/run", Request{Files: files("other.v", `def main() { System.puti(7); System.ln(); }`)})
 	if status != http.StatusOK || !resp.OK || resp.Engine != "bytecode" || resp.Quarantined || resp.Fallback {
 		t.Fatalf("unrelated program: status=%d resp=%+v, want clean bytecode run", status, resp)
+	}
+}
+
+// TestNoFallbackWithoutFaults is the watchdog's standing trial: with no
+// fault armed, the corpus, the crashers, progen Random 1-50 and every
+// traffic mix run through /run on the bytecode engine under the full
+// and reference configs, and the engine never falls back and nothing
+// ICEs. A bytecode defect that starts to lean on the fallback fails
+// here instead of hiding behind a counter.
+func TestNoFallbackWithoutFaults(t *testing.T) {
+	var reqs []Request
+	for _, p := range testprogs.All() {
+		reqs = append(reqs, Request{Files: files(p.Name+".v", p.Source)})
+	}
+	dir := filepath.Join("..", "..", "testdata", "crashers")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, Request{Files: files(ent.Name(), string(data))})
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		reqs = append(reqs, Request{Files: files("random.v", progen.Random(seed))})
+	}
+	for _, mix := range progen.MixNames() {
+		for _, it := range progen.Mixes()[mix] {
+			reqs = append(reqs, Request{Files: files(it.FileName, it.Source), MaxSteps: it.MaxSteps, MaxHeap: it.MaxHeap})
+		}
+	}
+
+	s, ts := newTestServer(t, Config{Engine: "bytecode"})
+	total, ran := 0, 0
+	for _, config := range []string{"full", "ref"} {
+		for _, req := range reqs {
+			req.Config = config
+			// The step and time budgets bound the trial; a program
+			// stopped by either still ran on the bytecode engine.
+			if req.MaxSteps == 0 {
+				req.MaxSteps = 200_000
+			}
+			req.TimeoutMs = 500
+			total++
+			status, resp := post(t, ts.URL+"/run", req)
+			if resp.Fallback || (resp.Error != nil && resp.Error.Kind == "ice") {
+				t.Errorf("%s/%s: status=%d resp=%+v, want no fallback and no ICE", config, req.Files[0].Name, status, resp)
+			}
+			if resp.Engine == "bytecode" {
+				ran++
+			}
+		}
+	}
+	st := s.Snapshot()
+	if st.EngineFallbacks != 0 || st.ICEs != 0 {
+		t.Fatalf("engine_fallbacks=%d ices=%d over %d requests, want 0/0", st.EngineFallbacks, st.ICEs, total)
+	}
+	// Most programs compile; the rest are diagnostics by design.
+	if 2*ran < total {
+		t.Fatalf("only %d of %d requests ran on the bytecode engine", ran, total)
 	}
 }
 
